@@ -46,9 +46,8 @@ def edg_stalls(buffer):
     """Lemma 5.3 check against the engine's event stream: per node, the
     rounds carrying "EDG" upcasts must form a contiguous range — a gap
     is a stall the lemma proves cannot happen.  Unlike the programs' own
-    ``pipelining_violations`` counters (self-reporting) or the old
-    ``traced()`` monkey-patch wrapper (which shadowed ``send``), this
-    reads what the engine actually did.
+    ``pipelining_violations`` counters (self-reporting), this reads what
+    the engine actually did.
     """
     send_rounds = {}
     for event in buffer.events:

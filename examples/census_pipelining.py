@@ -12,22 +12,23 @@ Run:  python examples/census_pipelining.py
 
 from repro.core.diam_dom import DiamDOMProgram
 from repro.graphs import path_graph
-from repro.sim import Network, TraceRecorder
+from repro.obs import TraceBuffer
+from repro.sim import Network
 
 
 def main() -> None:
     n, k = 10, 3
     graph = path_graph(n)
-    recorder = TraceRecorder()
+    buffer = TraceBuffer()
     network = Network(graph)
-    network.attach_subscriber(recorder)
+    network.attach_subscriber(buffer)
     network.run(lambda ctx: DiamDOMProgram(ctx, 0, k))
 
     # Collect census sends: (round, sender) -> census level.
     sends = {}
-    for event in recorder.events:
-        if event.kind == "send" and event.detail[1][0] == "CEN":
-            sends[(event.round, event.node)] = event.detail[1][1]
+    for event in buffer.by_kind("send"):
+        if event["payload"][0] == "CEN":
+            sends[(event["round"], event["node"])] = event["payload"][1]
     rounds = sorted({r for r, _v in sends})
     t1 = network.programs[0].output["t1"]
 

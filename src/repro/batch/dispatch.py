@@ -7,7 +7,7 @@ dominates the run itself.  This module replaces the payload with a
 :class:`NetworkSpec`: the graph's :class:`~repro.graphs.graph.
 GraphProvenance` (a spec string, two seeds and an optional member
 tuple) plus the network's word limit and scheduling mode.  The worker
-rebuilds the graph through its process-local
+rebuilds the graph through its one
 :class:`~repro.batch.cache.GraphCache` — so sibling runs over the same
 base graph regenerate it once — and constructs a fresh ``Network``.
 
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..graphs.graph import GraphProvenance
 from ..sim.network import Network
-from .cache import GraphCache
+from .cache import GraphCache, worker_graph_cache
 
 #: Task kinds produced by :func:`parallel_task`.
 SPEC_TASK = "spec"
@@ -101,20 +101,6 @@ def parallel_task(
     if spec is not None:
         return SPEC_TASK, (spec, factory, max_rounds)
     return NETWORK_TASK, (network, factory, max_rounds)
-
-
-# Worker-process graph cache, created on first use.  Plain lazy module
-# state (not a pool initializer) so tasks routed through a long-lived
-# SharedPool — created before anyone knew graphs would be rebuilt —
-# still get per-worker memoization.
-_WORKER_CACHE: Optional[GraphCache] = None
-
-
-def worker_graph_cache() -> GraphCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = GraphCache()
-    return _WORKER_CACHE
 
 
 def run_parallel_task(

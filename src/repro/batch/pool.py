@@ -11,12 +11,13 @@ Three consumers share this module:
 * :func:`benchmarks.harness.sweep_map` maps experiment cells through
   :func:`map_submission_order`.
 
-All three routes go through one pool when a :class:`SharedPool` is
-active (entered as a context manager, or passed explicitly): the pool
-persists across calls, so repeated fan-outs pay worker startup once
-and worker-side caches (graph regeneration, imported workload modules)
-stay warm.  Without one, each call spins up a disposable pool — the
-PR 4 behaviour.
+All three routes run on a :class:`SharedPool`, the only place a
+``multiprocessing`` pool is built.  When one is active (entered as a
+context manager, or passed explicitly) it persists across calls, so
+repeated fan-outs pay worker startup once and worker-side caches
+(graph regeneration, imported workload modules) stay warm.  Without
+one, each call runs on a single-use ``SharedPool``, with the same
+crash and hang recovery.
 
 Determinism contract: results are *tagged with their submission index*
 inside the worker, so callers can always reassemble submission order
@@ -39,6 +40,7 @@ poison task degrades the batch instead of crashing it.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import signal
@@ -156,6 +158,26 @@ _ACTIVE: List["SharedPool"] = []
 _POLL_INTERVAL = 0.005
 
 
+class _Pool(multiprocessing.pool.Pool):
+    """The ``multiprocessing`` pool :class:`SharedPool` runs on.
+
+    ``Pool.terminate`` drains the task pipe message by message so a
+    blocked task-handler thread can finish.  A worker SIGKILLed while
+    reading a task leaves a torn message there, which ``recv`` misparses
+    (``EOFError``) and which could even block it; this pool drains raw
+    bytes instead — the pool is being discarded, so the tasks are moot.
+    """
+
+    @staticmethod
+    def _help_stuff_finish(inqueue, task_handler, size):
+        inqueue._rlock.acquire()
+        reader = inqueue._reader
+        while task_handler.is_alive() and reader.poll():
+            if not os.read(reader.fileno(), 1 << 16):
+                break  # end of file: no writer is left to unblock
+            time.sleep(0)
+
+
 class SharedPool:
     """A persistent worker pool reused across batch calls.
 
@@ -233,7 +255,7 @@ class SharedPool:
         if self._closed:
             raise RuntimeError("SharedPool is closed")
         if self._pool is None:
-            self._pool = multiprocessing.get_context().Pool(self.workers)
+            self._pool = _Pool(self.workers)
         return self._pool
 
     def _teardown(self) -> None:
@@ -537,8 +559,6 @@ def imap_completion_order(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     workers: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
     pool: Optional[SharedPool] = None,
     deadline_s: Optional[float] = None,
     max_attempts: Optional[int] = None,
@@ -550,61 +570,29 @@ def imap_completion_order(
     the exception; the caller decides whether to raise), or
     ``"quarantined"`` (see :meth:`SharedPool.imap`).  Routing: an
     explicit ``pool``, else the ambient :meth:`SharedPool.current`, else
-    a disposable pool torn down when the iterator is exhausted or
-    closed.  ``initializer`` forces the disposable path (a shared pool's
-    workers were started long ago); in-repo callers use lazily-created
-    worker state instead.  ``deadline_s``/``chaos`` need the monitored
-    :class:`SharedPool` loop, so they promote the disposable path to a
-    single-use SharedPool.
+    a single-use :class:`SharedPool` of ``workers`` closed when the
+    iterator is exhausted or closed — so crash recovery, the
+    ``deadline_s`` watchdog and ``chaos`` work on every route.
     """
     items = list(items)
     if not items:
         return
-    if initializer is None:
-        shared = pool if pool is not None else SharedPool.current()
-        if shared is not None:
-            yield from shared.imap(
-                fn,
-                items,
-                deadline_s=deadline_s,
-                max_attempts=max_attempts,
-                chaos=chaos,
-            )
-            return
-        if deadline_s is not None or chaos is not None:
-            one_use = SharedPool(
-                workers=min(resolve_workers(workers), len(items)),
-                deadline_s=deadline_s,
-            )
-            try:
-                yield from one_use.imap(
-                    fn, items, max_attempts=max_attempts, chaos=chaos
-                )
-            finally:
-                one_use.close()
-            return
-    tasks = [(fn, index, item, None) for index, item in enumerate(items)]
-    processes = min(resolve_workers(workers), len(tasks))
-    from ..obs.telemetry import current_telemetry
-
-    session = current_telemetry()
-    if session is not None:
-        tele_counter = session.registry.counter("fabric_tasks", volatile=True)
-        tele_counter.inc(len(tasks), state="dispatched")
-        session.registry.gauge("fabric_workers", volatile=True).max(processes)
-    ctx = multiprocessing.get_context()
-    one_shot = ctx.Pool(
-        processes=processes, initializer=initializer, initargs=initargs
-    )
+    owned: Optional[SharedPool] = None
+    if pool is None:
+        pool = SharedPool.current()
+    if pool is None:
+        pool = owned = SharedPool(min(resolve_workers(workers), len(items)))
     try:
-        for result in one_shot.imap_unordered(_invoke, tasks):
-            if session is not None:
-                tele_counter.inc(state="completed")
-            yield result
-        one_shot.close()
-        one_shot.join()
+        yield from pool.imap(
+            fn,
+            items,
+            deadline_s=deadline_s,
+            max_attempts=max_attempts,
+            chaos=chaos,
+        )
     finally:
-        one_shot.terminate()
+        if owned is not None:
+            owned.close()
 
 
 def map_submission_order(
@@ -617,7 +605,7 @@ def map_submission_order(
     """Map ``fn`` over ``items``; results in submission order.
 
     ``backend="inline"`` runs in this process; ``"process"`` fans out
-    (through ``pool``, the ambient shared pool, or a disposable one)
+    (through ``pool``, the ambient shared pool, or a single-use one)
     and reassembles.  The first failing item's exception is re-raised
     either way.  This is the benchmark harness's opt-in hook.
     """

@@ -11,8 +11,8 @@ cells.  This module turns that shape into a first-class runner:
   this process (``"inline"``), behind the same function; an entered
   :class:`~repro.batch.pool.SharedPool` is reused instead of spawning
   a pool per sweep;
-* each worker keeps a :class:`~repro.batch.cache.GraphCache`, so the
-  cells sharing a (spec, seed) pair regenerate nothing;
+* each worker keeps one bounded :class:`~repro.batch.cache.GraphCache`,
+  so the cells sharing a (spec, seed) pair regenerate nothing;
 * results checkpoint into a :class:`~repro.batch.store.SweepStore`
   as they finish, and a resumed sweep executes only missing cells;
 * ``shard=(i, n)`` restricts one invocation to every n-th cell of the
@@ -50,7 +50,7 @@ from ..obs.telemetry import (
     span,
 )
 from ..sim.metrics import RunMetrics
-from .cache import GraphCache
+from .cache import GraphCache, worker_graph_cache
 from .pool import (
     PoolCrashError,
     SharedPool,
@@ -328,19 +328,6 @@ def run_cell(
     return {"cell": cell.as_dict(), "result": result}
 
 
-# Worker-process graph cache: lazy module state rather than a pool
-# initializer, so sweep cells can route through a long-lived
-# SharedPool whose workers predate the sweep.
-_WORKER_CACHE: Optional[GraphCache] = None
-
-
-def _worker_cache() -> GraphCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = GraphCache()
-    return _WORKER_CACHE
-
-
 # Worker-process profiler, created on first profiled task so the dump
 # accumulates every cell this worker ran (repro sweep --profile-workers).
 _WORKER_PROFILER: Optional[cProfile.Profile] = None
@@ -366,7 +353,7 @@ def _process_cell(
     (so the dump survives however the sweep ends).
     """
     cell, provider, profile_dir = task
-    cache = _worker_cache()
+    cache = worker_graph_cache()
     hits, misses = cache.hits, cache.misses
     session = TelemetrySession()
     profiler: Optional[cProfile.Profile] = None

@@ -65,7 +65,7 @@ class NodeMetrics:
         return intervals
 
     def stalls(self) -> List[int]:
-        """Flat list of stalled rounds (cf. ``TraceRecorder.stalls``)."""
+        """Flat list of stalled rounds."""
         return [
             r
             for start, end in self.stall_intervals()

@@ -44,7 +44,6 @@ from .runner import (
     StagedRun,
     run_in_parallel,
 )
-from .trace import TraceEvent, TraceRecorder, traced
 from .virtual import ContractedGraph, VirtualNetwork
 from .events import AsyncContext, AsyncNetwork, AsyncNodeProgram
 from .synchronizer import AlphaSynchronizerNode, run_synchronized
@@ -92,8 +91,6 @@ __all__ = [
     "ScriptedProgram",
     "SimulationError",
     "StagedRun",
-    "TraceEvent",
-    "TraceRecorder",
     "UnserializablePayload",
     "VirtualNetwork",
     "make_reliable",
@@ -101,5 +98,4 @@ __all__ = [
     "run_in_parallel",
     "run_synchronized",
     "split_by_tag",
-    "traced",
 ]

@@ -4,7 +4,7 @@ Public surface:
 
 * availability: :data:`HAVE_NUMPY`, :func:`require_numpy`,
   :class:`DenseUnavailable`;
-* adjacency: :func:`csr_adjacency` (provenance-cached),
+* adjacency: :func:`csr_adjacency` (memoised per graph object),
   :func:`build_csr`, :class:`CSRAdjacency`;
 * primitive kernels: ``plan_*``/``dense_*`` pairs for flood,
   convergecast, and BFS (the plan step returns ``None`` when the input
@@ -30,7 +30,6 @@ from .csr import (
     CSRAdjacency,
     build_csr,
     cache_clear,
-    cache_info,
     csr_adjacency,
 )
 from .kernels import (
@@ -61,7 +60,6 @@ __all__ = [
     "balanced_rows",
     "build_csr",
     "cache_clear",
-    "cache_info",
     "cluster_arrays",
     "csr_adjacency",
     "dense_balanced_on_forest",

@@ -17,28 +17,31 @@ the kernels need to reproduce the reference engine's orderings:
   numpy lexsort instead of a megabyte of Python string churn.
 
 Construction is O(m) vectorized work after one pass over the edge
-iterator.  Because sweep workers replay the same generated graphs many
-times, adjacencies are memoised in a small FIFO cache keyed by the
-graph's :class:`~repro.graphs.graph.GraphProvenance` (spec, seed,
-weight seed, subgraph members) — the provenance contract guarantees two
-graphs with equal stamps are structurally identical, and mutation
-clears the stamp, so a cached entry can never go stale.  Graphs without
-provenance are simply rebuilt each time.
+iterator.  Because one solve asks for the same graph's view several
+times, :func:`csr_adjacency` memoises each view weak-keyed on its graph
+object: the view is freed with its graph, so whatever bounds the graphs
+(the process's :class:`~repro.batch.cache.GraphCache`, a caller's
+scope) bounds the views.  A view is reused only while the graph's
+:class:`~repro.graphs.graph.GraphProvenance` stamp is unchanged —
+mutation clears the stamp and re-weighting replaces it, so a memoised
+view can never go stale.  Graphs without provenance (hand-built or
+mutated) are simply rebuilt each time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .core import DenseUnavailable, np, require_numpy
 
-#: FIFO capacity of the provenance-keyed cache.  Sweep workers cycle
-#: through a handful of specs at a time; 8 covers a grid axis without
-#: pinning hundred-megabyte adjacencies for the whole process lifetime.
-_CACHE_CAPACITY = 8
-_CACHE: "OrderedDict[Tuple, CSRAdjacency]" = OrderedDict()
+#: graph -> {with_weights: (provenance stamp, view)}.  Weak keys, and a
+#: view holds no reference back to its graph, so dropping the graph
+#: drops its views.
+_VIEWS: "weakref.WeakKeyDictionary[Any, Dict[bool, Tuple]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass
@@ -193,40 +196,21 @@ def build_csr(graph, with_weights: bool = False) -> CSRAdjacency:
     )
 
 
-def _cache_key(graph, with_weights: bool) -> Optional[Tuple]:
-    provenance = getattr(graph, "provenance", None)
-    if provenance is None or provenance.spec is None:
-        return None
-    return (
-        provenance.spec,
-        provenance.seed,
-        provenance.weight_seed,
-        provenance.members,
-        with_weights,
-    )
-
-
 def csr_adjacency(graph, with_weights: bool = False) -> CSRAdjacency:
-    """CSR view of ``graph``, served from the provenance cache when the
-    graph carries a provenance stamp (generated graphs do)."""
-    key = _cache_key(graph, with_weights)
-    if key is not None:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            return hit
+    """CSR view of ``graph``, memoised on the graph object while its
+    provenance stamp holds (generated graphs carry one)."""
+    stamp = getattr(graph, "provenance", None)
+    if stamp is None:
+        return build_csr(graph, with_weights=with_weights)
+    views = _VIEWS.setdefault(graph, {})
+    held = views.get(with_weights)
+    if held is not None and held[0] == stamp:
+        return held[1]
     csr = build_csr(graph, with_weights=with_weights)
-    if key is not None:
-        _CACHE[key] = csr
-        while len(_CACHE) > _CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
+    views[with_weights] = (stamp, csr)
     return csr
 
 
 def cache_clear() -> None:
-    """Drop every cached adjacency (test isolation hook)."""
-    _CACHE.clear()
-
-
-def cache_info() -> Dict[str, int]:
-    return {"entries": len(_CACHE), "capacity": _CACHE_CAPACITY}
+    """Drop every memoised view (test isolation hook)."""
+    _VIEWS.clear()

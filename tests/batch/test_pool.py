@@ -1,7 +1,14 @@
-"""Process-pool plumbing: ordering, failure transport, worker sizing."""
+"""Process-pool plumbing: ordering, failure transport, worker sizing,
+and crash recovery on the pool-less route."""
+
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.batch import map_submission_order, resolve_workers
 from repro.batch.pool import imap_completion_order
 
@@ -97,3 +104,60 @@ class TestImapCompletionOrder:
 
     def test_empty_yields_nothing(self):
         assert list(imap_completion_order(_square, [])) == []
+
+
+#: A process sweep with no SharedPool entered, whose first cell to run
+#: hard-exits its worker; prints "<cells run> <complete>".
+CRASH_ONCE_SWEEP = """
+import os
+import sys
+
+from repro.batch import SweepGrid, run_sweep
+from repro.batch.registry import register_workload
+
+MARKER = sys.argv[1]
+
+
+@register_workload("crash-once")
+def _crash_once(graph, cell):
+    try:
+        os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return {"n": graph.num_nodes}
+    os._exit(1)
+
+
+grid = SweepGrid("crash-once", ("tree:n=12",), (0, 1), (2, 3))
+summary = run_sweep(grid, backend="process", workers=2)
+print(summary.ran, summary.complete)
+"""
+
+
+class TestWorkerCrash:
+    def test_pool_less_process_sweep_survives_a_worker_exit(self, tmp_path):
+        """The dead worker's cell is resubmitted instead of lost.
+
+        A consumer of a plain ``multiprocessing.Pool`` would block
+        forever on that cell, so the sweep runs in its own process
+        group under a timeout: a regression fails instead of hanging.
+        """
+        marker = tmp_path / "crashed"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-c", CRASH_ONCE_SWEEP, str(marker)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the pool workers too
+            child.communicate()
+            pytest.fail("process sweep hung after a worker exited")
+        assert child.returncode == 0, err
+        assert marker.exists()
+        assert out.split() == ["4", "True"]

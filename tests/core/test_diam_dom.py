@@ -129,13 +129,14 @@ class TestCensusScheduleFidelity:
     t1 + l + (M - i), verified via the send trace."""
 
     def test_send_rounds_match_schedule(self):
-        from repro.sim import Network, TraceRecorder
+        from repro.obs import TraceBuffer
+        from repro.sim import Network
 
         g = random_tree(60, seed=9)
         k = 3
-        recorder = TraceRecorder()
+        buffer = TraceBuffer()
         net = Network(g)
-        net.attach_subscriber(recorder)
+        net.attach_subscriber(buffer)
         net.run(lambda ctx: DiamDOMProgram(ctx, 0, k))
 
         t1 = net.programs[0].output["t1"] if "t1" in net.programs[0].output else None
@@ -143,28 +144,29 @@ class TestCensusScheduleFidelity:
         tree_depth = net.programs[0].output["tree_depth"]
         # Collect actual census sends from the trace.
         census_sends = {}
-        for event in recorder.events:
-            if event.kind == "send" and event.detail[1][0] == "CEN":
-                level = event.detail[1][1]
-                census_sends.setdefault((event.node, level), event.round)
+        for event in buffer.by_kind("send"):
+            if event["payload"][0] == "CEN":
+                level = event["payload"][1]
+                census_sends.setdefault((event["node"], level), event["round"])
         t1 = net.programs[0].output["t1"]
         for (node, level), round_sent in census_sends.items():
             expected = t1 + level + (tree_depth - depths[node])
             assert round_sent == expected, (node, level, round_sent, expected)
 
     def test_every_nonroot_sends_every_census(self):
-        from repro.sim import Network, TraceRecorder
+        from repro.obs import TraceBuffer
+        from repro.sim import Network
 
         g = random_tree(40, seed=10)
         k = 2
-        recorder = TraceRecorder()
+        buffer = TraceBuffer()
         net = Network(g)
-        net.attach_subscriber(recorder)
+        net.attach_subscriber(buffer)
         net.run(lambda ctx: DiamDOMProgram(ctx, 0, k))
         counts = {}
-        for event in recorder.events:
-            if event.kind == "send" and event.detail[1][0] == "CEN":
-                counts[event.node] = counts.get(event.node, 0) + 1
+        for event in buffer.by_kind("send"):
+            if event["payload"][0] == "CEN":
+                counts[event["node"]] = counts.get(event["node"], 0) + 1
         for v in g.nodes:
             if v != 0:
                 assert counts.get(v, 0) == k + 1, v

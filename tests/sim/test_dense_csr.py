@@ -1,9 +1,13 @@
 """CSR adjacency (repro.sim.dense.csr): structure, string ranks, the
-provenance cache, and the graceful no-numpy / bad-ids error paths."""
+per-graph view memo, and the graceful no-numpy / bad-ids error paths."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.graphs import (
+    assign_unique_weights,
     grid_graph,
     path_graph,
     random_connected_graph,
@@ -18,7 +22,6 @@ np = pytest.importorskip("numpy")
 from repro.sim.dense import (  # noqa: E402 - needs numpy present
     build_csr,
     cache_clear,
-    cache_info,
     csr_adjacency,
 )
 
@@ -113,35 +116,58 @@ class TestStringRank:
 
 
 class TestProvenanceCache:
-    def test_generated_graphs_share_adjacency(self):
-        a = csr_adjacency(random_tree(40, seed=5))
-        b = csr_adjacency(random_tree(40, seed=5))
-        assert a is b
-        assert cache_info()["entries"] == 1
+    """Views are memoised per graph object while its provenance holds."""
+
+    def test_same_graph_reuses_its_view(self):
+        g = random_tree(40, seed=5)
+        assert csr_adjacency(g) is csr_adjacency(g)
 
     def test_different_seeds_miss(self):
         a = csr_adjacency(random_tree(40, seed=5))
         b = csr_adjacency(random_tree(40, seed=6))
         assert a is not b
-        assert cache_info()["entries"] == 2
 
     def test_weighted_and_unweighted_are_distinct_entries(self):
         g = random_tree(20, seed=1)
         a = csr_adjacency(g)
         b = csr_adjacency(g, with_weights=True)
         assert a is not b
+        assert csr_adjacency(g) is a
+        assert csr_adjacency(g, with_weights=True) is b
 
     def test_hand_built_graph_is_never_cached(self):
         g = Graph()
         for u, v in [(0, 1), (1, 2)]:
             g.add_edge(u, v)
         assert csr_adjacency(g) is not csr_adjacency(g)
-        assert cache_info()["entries"] == 0
 
-    def test_capacity_is_bounded(self):
-        for seed in range(cache_info()["capacity"] + 3):
-            csr_adjacency(random_tree(10, seed=seed))
-        assert cache_info()["entries"] == cache_info()["capacity"]
+    def test_view_dies_with_its_graph(self):
+        g = random_tree(40, seed=5)
+        view = weakref.ref(csr_adjacency(g))
+        assert view() is not None
+        del g
+        gc.collect()
+        assert view() is None
+
+    def test_reweighting_rebuilds_the_view(self):
+        g = random_tree(30, seed=2)
+        assign_unique_weights(g, seed=1)
+        before = csr_adjacency(g, with_weights=True)
+        assign_unique_weights(g, seed=2)
+        after = csr_adjacency(g, with_weights=True)
+        assert after is not before
+        assert not np.array_equal(after.weights, before.weights)
+        assert np.array_equal(
+            after.weights, build_csr(g, with_weights=True).weights
+        )
+
+    def test_mutated_graph_is_rebuilt(self):
+        g = random_tree(20, seed=3)
+        before = csr_adjacency(g)
+        g.remove_edge(*next(iter(g.edges())))
+        after = csr_adjacency(g)
+        assert after.num_edges == before.num_edges - 1
+        assert csr_adjacency(g) is not after
 
 
 class TestUnavailable:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graphs import Graph, path_graph, star_graph
+from repro.obs import TraceBuffer
 from repro.primitives.flooding import FloodProgram
 from repro.sim import (
     FaultConfig,
@@ -14,7 +15,6 @@ from repro.sim import (
     NodeProgram,
     RunMetrics,
     RunReport,
-    TraceRecorder,
 )
 
 
@@ -198,16 +198,16 @@ class TestCrash:
 
 
 def _traced_run(config):
-    recorder = TraceRecorder()
+    buffer = TraceBuffer()
     net = Network(
         path_graph(8), faults=FaultInjector(config)
     )
-    net.attach_subscriber(recorder)
+    net.attach_subscriber(buffer)
     report = net.run(
         lambda ctx: FloodProgram(ctx, 0, value=7),
         max_rounds=200,
     )
-    return report, recorder.events
+    return report, buffer.events
 
 
 class TestDeterminismAndReplay:
@@ -232,15 +232,15 @@ class TestDeterminismAndReplay:
 
     def test_replay_reproduces_run(self):
         report, events = _traced_run(FaultConfig(**self.CONFIG))
-        recorder = TraceRecorder()
+        buffer = TraceBuffer()
         net = Network(path_graph(8), faults=FaultInjector.replay(report.plan))
-        net.attach_subscriber(recorder)
+        net.attach_subscriber(buffer)
         replayed = net.run(
             lambda ctx: FloodProgram(ctx, 0, value=7),
             max_rounds=200,
         )
         assert replayed == report
-        assert recorder.events == events
+        assert buffer.events == events
 
     def test_replay_mismatch_detected(self):
         # A plan recorded against a different send schedule must not be

@@ -1,17 +1,19 @@
-"""Trace recorder and stall detection.
+"""Send traces and stall detection over the engine's event stream.
 
-The recorder rides the engine's native event stream, so "activity" here
-means model-visible activity (send / deliver / wakeup / halt) — the
-definition that is identical under ``scheduling="full"`` and
-``scheduling="active"``.  The old invocation-counting recorder reported
-different ``rounds_active()`` per mode, which is exactly the bug this
-suite now pins the absence of.
+"Activity" here means model-visible activity (send / deliver / wakeup /
+halt) as :mod:`repro.obs` sees it — the definition that is identical
+under ``scheduling="full"`` and ``scheduling="active"``.  Counting
+program invocations instead would list :class:`Bursty`'s stalled
+round 2 as active under full scheduling only; this suite pins the
+absence of that difference.
 """
 
-import pytest
-
 from repro.graphs import Graph
-from repro.sim import Network, NodeProgram, TraceRecorder, traced
+from repro.obs import MetricsCollector, TraceBuffer
+from repro.sim import Network, NodeProgram
+
+#: Event kinds that make a node model-visibly active in a round.
+ACTIVITY = ("send", "deliver", "wakeup", "halt")
 
 
 def pair() -> Graph:
@@ -38,27 +40,33 @@ class Bursty(NodeProgram):
             self.halt()
 
 
-def traced_run(factory, recorder, graph=None):
-    net = Network(graph if graph is not None else pair())
-    with pytest.deprecated_call():
-        net.run(traced(factory, recorder))
-    return net
+def observed_run(factory, scheduling="active"):
+    """Run ``factory`` on :func:`pair` with a buffer and a collector attached."""
+    buffer, collector = TraceBuffer(), MetricsCollector()
+    net = Network(pair(), scheduling=scheduling)
+    net.attach_subscriber(buffer)
+    net.attach_subscriber(collector)
+    net.run(factory)
+    return buffer, collector
+
+
+def rounds_active(buffer, node):
+    return sorted(
+        {e["round"] for e in buffer.events
+         if e["kind"] in ACTIVITY and e["node"] == node}
+    )
 
 
 class TestTrace:
     def test_sends_recorded(self):
-        recorder = TraceRecorder()
-        traced_run(Bursty, recorder)
-        assert recorder.sends_by_node()[0] == [0, 1, 3]
+        _buffer, collector = observed_run(Bursty)
+        assert sorted(collector.node(0).send_rounds) == [0, 1, 3]
 
     def test_stall_detected(self):
-        recorder = TraceRecorder()
-        traced_run(Bursty, recorder)
-        assert recorder.stalls(0) == [2]
+        _buffer, collector = observed_run(Bursty)
+        assert collector.node(0).stalls() == [2]
 
     def test_no_stall_for_single_send(self):
-        recorder = TraceRecorder()
-
         class Once(NodeProgram):
             def on_start(self):
                 if self.node == 0:
@@ -68,47 +76,33 @@ class TestTrace:
             def on_round(self, inbox):  # pragma: no cover
                 pass
 
-        traced_run(Once, recorder)
-        assert recorder.stalls(0) == []
+        _buffer, collector = observed_run(Once)
+        assert collector.node(0).stalls() == []
 
     def test_halt_recorded(self):
-        recorder = TraceRecorder()
-        traced_run(Bursty, recorder)
-        kinds = {e.kind for e in recorder.events}
+        buffer, _collector = observed_run(Bursty)
+        kinds = {e["kind"] for e in buffer.events}
         assert "halt" in kinds and "deliver" in kinds
 
     def test_send_detail_shape(self):
-        # Compatibility contract: send detail is (receiver, payload).
-        recorder = TraceRecorder()
-        traced_run(Bursty, recorder)
-        first = [e for e in recorder.events if e.kind == "send"][0]
-        assert first.detail == (1, ("A",))
+        # A send event names its receiver and carries the payload fields.
+        buffer, _collector = observed_run(Bursty)
+        first = buffer.by_kind("send")[0]
+        assert (first["peer"], tuple(first["payload"])) == (1, ("A",))
 
     def test_rounds_active_is_model_visible(self):
         # Node 0 acts in rounds 0, 1 and 3; round 2 is a genuine stall
-        # and must NOT be reported as active (the old invocation-based
-        # recorder listed it under scheduling="full").
-        recorder = TraceRecorder()
-        traced_run(Bursty, recorder)
-        assert recorder.rounds_active(0) == [0, 1, 3]
+        # and must not be reported as active.
+        buffer, _collector = observed_run(Bursty)
+        assert rounds_active(buffer, 0) == [0, 1, 3]
 
     def test_rounds_active_same_in_both_modes(self):
         per_mode = {}
         for mode in ("full", "active"):
-            recorder = TraceRecorder()
-            net = Network(pair(), scheduling=mode)
-            with pytest.deprecated_call():
-                net.run(traced(Bursty, recorder))
+            buffer, collector = observed_run(Bursty, scheduling=mode)
             per_mode[mode] = {
-                node: recorder.rounds_active(node) for node in (0, 1)
+                node: (rounds_active(buffer, node), collector.node(node).stalls())
+                for node in (0, 1)
             }
         assert per_mode["full"] == per_mode["active"]
-
-    def test_attach_subscriber_replaces_traced(self):
-        # The non-deprecated spelling records the identical stream.
-        recorder = TraceRecorder()
-        net = Network(pair())
-        net.attach_subscriber(recorder)
-        net.run(Bursty)
-        assert recorder.sends_by_node()[0] == [0, 1, 3]
-        assert recorder.stalls(0) == [2]
+        assert per_mode["active"][0] == ([0, 1, 3], [2])
