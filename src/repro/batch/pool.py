@@ -19,6 +19,11 @@ repeated fan-outs pay worker startup once and worker-side caches
 one, each call runs on a single-use ``SharedPool``, with the same
 crash and hang recovery.
 
+**Draining** is event-driven: each task posts its outcome from its
+``apply_async`` callback onto the queue of the call's
+:class:`TaskSource`, which the draining thread blocks on.  ``repro
+serve`` keeps one source open and hands each cache miss to it.
+
 Determinism contract: results are *tagged with their submission index*
 inside the worker, so callers can always reassemble submission order
 regardless of completion order.  Everything that crosses the process
@@ -43,7 +48,9 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import pickle
+import queue
 import signal
+import threading
 import time
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -152,10 +159,60 @@ class TaskQuarantinedError(RuntimeError):
 #: route through.
 _ACTIVE: List["SharedPool"] = []
 
-#: Seconds between liveness/readiness polls while draining a batch.
-#: Tasks here are whole simulation runs (milliseconds at minimum), so a
-#: short sleep costs nothing measurable and keeps the parent responsive.
+#: Seconds between liveness and deadline checks while tasks are in
+#: flight.  The drain loop waits at most this long for an outcome, and
+#: runs the checks at least this often even while outcomes keep coming.
 _POLL_INTERVAL = 0.005
+
+#: Tags of the events a :class:`TaskSource` queue carries besides task
+#: outcomes (which carry the token of the pool incarnation that ran them).
+_ITEM = "item"
+_CLOSE = "close"
+
+
+class TaskSource:
+    """The items of one :meth:`SharedPool.imap` call, handed over while
+    it runs.
+
+    :meth:`put` numbers an item with its submission index and wakes the
+    draining thread; :meth:`close` says no more will come, and the call
+    ends once every item handed over has finished.  ``imap`` runs a list
+    as a source closed up front.  The same queue carries the outcomes
+    the pool's result thread posts, so one wait serves both.
+
+    ``items`` maps the index of every unfinished item to the item; a
+    consumer finds an outcome's item there until it resumes the
+    iteration.
+    """
+
+    def __init__(self, items: Iterable[Any] = ()) -> None:
+        self.items: Dict[int, Any] = {}
+        self.closed = False
+        self._events: "queue.SimpleQueue[Tuple[Any, Any, Any]]" = (
+            queue.SimpleQueue()
+        )
+        self._lock = threading.Lock()
+        self._count = 0
+        for item in items:
+            self.put(item)
+
+    def put(self, item: Any) -> int:
+        """Hand ``item`` over; returns its submission index."""
+        with self._lock:
+            if self.closed:
+                raise RuntimeError("TaskSource is closed")
+            index = self._count
+            self._count += 1
+            self.items[index] = item
+            self._events.put((_ITEM, index, time.monotonic()))
+        return index
+
+    def close(self) -> None:
+        """Hand over nothing more; idempotent."""
+        with self._lock:
+            if not self.closed:
+                self.closed = True
+                self._events.put((_CLOSE, None, None))
 
 
 class _Pool(multiprocessing.pool.Pool):
@@ -166,7 +223,17 @@ class _Pool(multiprocessing.pool.Pool):
     reading a task leaves a torn message there, which ``recv`` misparses
     (``EOFError``) and which could even block it; this pool drains raw
     bytes instead — the pool is being discarded, so the tasks are moot.
+
+    ``terminate`` also ends workers with SIGKILL: the pool replaces a
+    worker the moment it dies, and a replacement forked from a process
+    with a SIGTERM handler (``repro serve``) would survive SIGTERM.
     """
+
+    @staticmethod
+    def Process(ctx, *args, **kwds):
+        process = ctx.Process(*args, **kwds)
+        process.terminate = process.kill
+        return process
 
     @staticmethod
     def _help_stuff_finish(inqueue, task_handler, size):
@@ -352,6 +419,11 @@ class SharedPool:
     ) -> Iterator[Tuple[int, str, Any]]:
         """Yield ``(submission_index, status, payload)`` as tasks finish.
 
+        ``items`` is an iterable, run as a source closed up front, or an
+        open :class:`TaskSource` the caller keeps handing items to; the
+        call ends when the source is closed and every item handed over
+        has finished.  The pool starts at the first task.
+
         ``status`` is ``"ok"`` (payload = result), ``"error"`` (payload
         = the exception the task raised; deterministic failures are
         never retried), or ``"quarantined"`` (payload = a dict with
@@ -366,6 +438,9 @@ class SharedPool:
         attempts_cap = (
             max_attempts if max_attempts is not None else self.max_attempts
         )
+        source = items if isinstance(items, TaskSource) else TaskSource(items)
+        if source is not items:
+            source.close()
         # Telemetry is ambient and optional: one lookup per batch, one
         # ``is not None`` per instrumented point — the fabric mirror of
         # the engine's no-subscriber discipline.  Everything recorded
@@ -386,65 +461,100 @@ class SharedPool:
             session.registry.gauge("fabric_workers", volatile=True).max(
                 self.workers
             )
-        batch_started = time.monotonic()
-        items = list(items)
-        pending: Dict[int, Any] = dict(enumerate(items))
+        events = source._events
+        # Items this call took and has not finished: index -> hand-over time.
+        pending: Dict[int, float] = {}
+        waiting: "deque[int]" = deque()
+        # Windowed dispatch: at most ``workers`` tasks in flight, so the
+        # in-flight set approximates "actually running" and a recovery
+        # blames at most one window, not the whole batch.
+        inflight: Dict[int, float] = {}
         attempts: Dict[int, int] = {}
+        finished: List[Tuple[int, str, Any]] = []
+        pool: Optional[Any] = None
+        pids: set = set()
+        # Outcomes carry the token of the pool incarnation and call that
+        # ran them: a torn-down pool's, or an earlier call's on the same
+        # source, no longer match and are dropped.
+        token = object()
+        closed = progressed = False
         stalled_restarts = 0
-        while pending:
-            pool = self._ensure()
-            pids = set(p.pid for p in pool._pool)
-            queue = deque(sorted(pending))
-            # Windowed dispatch: at most ``workers`` tasks in flight, so
-            # the in-flight set approximates "actually running" and a
-            # recovery blames at most one window, not the whole batch.
-            inflight: Dict[int, Tuple[Any, float]] = {}
-            progressed = False
-            failure: Optional[Tuple[str, List[int]]] = None
-            while queue or inflight:
-                while queue and len(inflight) < self.workers:
-                    index = queue.popleft()
-                    op = (
-                        chaos.op_for(index, attempts.get(index, 0))
-                        if chaos is not None
-                        else None
-                    )
-                    result = pool.apply_async(
-                        _invoke, ((fn, index, pending[index], op),)
-                    )
-                    now = time.monotonic()
-                    inflight[index] = (result, now)
-                    self.dispatched += 1
-                    if session is not None:
-                        tele_counter.inc(state="dispatched")
-                        tele_queue_wait.observe(now - batch_started)
-                done = [i for i, (r, _) in inflight.items() if r.ready()]
-                for index in done:
-                    handle, started = inflight.pop(index)
-                    outcome = handle.get()
-                    del pending[index]
-                    self.completed += 1
-                    progressed = True
-                    if session is not None:
-                        tele_counter.inc(state="completed")
-                        tele_latency.observe(time.monotonic() - started)
-                    yield outcome
-                if not (queue or inflight):
-                    break
-                if done:
-                    continue  # drain ready results before fault checks
-                failure = self._detect_failure(
-                    inflight, pids, pool, deadline, chaos, attempts
+        checked = respawn_at = time.monotonic()
+        while True:
+            window = self.workers if time.monotonic() >= respawn_at else 0
+            while waiting and len(inflight) < window:
+                if pool is None:
+                    pool = self._ensure()
+                if not inflight:
+                    pids = set(p.pid for p in pool._pool)
+                index = waiting.popleft()
+                op = (
+                    chaos.op_for(index, attempts.get(index, 0))
+                    if chaos is not None
+                    else None
                 )
-                if failure is not None:
-                    break
-                time.sleep(_POLL_INTERVAL)
-            if not pending or failure is None:
+                # The outcome rides the event: ``ApplyResult._set`` runs
+                # the callback before it marks the result ready.  The
+                # error callback sees the pool's own failures (unpicklable
+                # results); ``_invoke`` ships a task's exceptions.
+                tag = (token, index)
+                pool.apply_async(
+                    _invoke,
+                    ((fn, index, source.items[index], op),),
+                    callback=lambda outcome, tag=tag: events.put(tag + (outcome,)),
+                    error_callback=lambda exc, tag=tag: events.put(
+                        tag + ((tag[1], "error", exc),)
+                    ),
+                )
+                now = time.monotonic()
+                inflight[index] = now
+                self.dispatched += 1
+                if session is not None:
+                    tele_counter.inc(state="dispatched")
+                    tele_queue_wait.observe(now - pending[index])
+            for outcome in finished:
+                yield outcome
+                del source.items[outcome[0]]
+            finished.clear()
+            if closed and not pending:
+                return
+            try:
+                kind, index, value = events.get(
+                    timeout=_POLL_INTERVAL if inflight or waiting else None
+                )
+                while True:
+                    if kind is _ITEM:
+                        pending[index] = value
+                        waiting.append(index)
+                    elif kind is _CLOSE:
+                        closed = True
+                    elif kind is token:
+                        started = inflight.pop(index)
+                        del pending[index]
+                        self.completed += 1
+                        progressed = True
+                        if session is not None:
+                            tele_counter.inc(state="completed")
+                            tele_latency.observe(time.monotonic() - started)
+                        finished.append(value)
+                    kind, index, value = events.get_nowait()
+            except queue.Empty:
+                pass
+            now = time.monotonic()
+            if not inflight or now - checked < _POLL_INTERVAL:
+                continue
+            checked = now
+            failure = self._detect_failure(
+                inflight, pids, pool, deadline, chaos, attempts
+            )
+            if failure is None:
                 continue
             # -- recovery: blame, quarantine, respawn, resubmit --------
             reason, blamed = failure
             self.restarts += 1
             self._teardown()
+            pool, token = None, object()
+            inflight.clear()
             self._emit("worker_killed", reason=reason, workers=self.workers)
             if session is not None:
                 session.registry.counter(
@@ -465,7 +575,7 @@ class SharedPool:
                     )
                     if session is not None:
                         tele_counter.inc(state="quarantined")
-                    yield index, "quarantined", info
+                    finished.append((index, "quarantined", info))
                 else:
                     self._emit(
                         "task_retried",
@@ -475,22 +585,25 @@ class SharedPool:
                     )
                     if session is not None:
                         tele_counter.inc(state="retried")
+            waiting = deque(sorted(pending))
             stalled_restarts = 0 if progressed else stalled_restarts + 1
+            progressed = False
             if stalled_restarts > self.max_restarts:
                 raise PoolCrashError(
-                    stalled_restarts, len(pending), tuple(pending.values())
+                    stalled_restarts,
+                    len(pending),
+                    tuple(source.items.pop(index) for index in waiting),
                 )
-            if pending:
-                time.sleep(
-                    min(
-                        self.backoff_max_s,
-                        self.backoff_base_s * (2 ** (stalled_restarts or 1)),
-                    )
-                )
+            # Respawn after a capped exponential backoff; the loop keeps
+            # yielding and taking items meanwhile.
+            respawn_at = time.monotonic() + min(
+                self.backoff_max_s,
+                self.backoff_base_s * (2 ** (stalled_restarts or 1)),
+            )
 
     def _detect_failure(
         self,
-        inflight: Dict[int, Tuple[Any, float]],
+        inflight: Dict[int, float],
         pids: set,
         pool: Any,
         deadline: Optional[float],
@@ -519,7 +632,7 @@ class SharedPool:
             now = time.monotonic()
             expired = [
                 index
-                for index, (_r, started) in inflight.items()
+                for index, started in inflight.items()
                 if now - started > deadline
             ]
             if expired:

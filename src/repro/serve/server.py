@@ -14,12 +14,17 @@ HTTP/1.1 loop, no ``http.server``):
 
 * The **event-loop thread** parses requests, answers cache hits, and
   collapses concurrent identical queries onto one in-flight future
-  (single-flight).  All cache and in-flight state is loop-confined.
-* A **dispatcher thread** drains queued cells, batches whatever is
-  pending, and runs the batch through
-  :func:`~repro.batch.pool.imap_completion_order` — onto a persistent
-  :class:`~repro.batch.pool.SharedPool` (``backend="process"``) or a
-  worker-style inline loop (``backend="inline"``).  Results hop back to
+  (single-flight).  All cache and in-flight state is loop-confined.  It
+  admits at most ``ADMISSION_PER_WORKER`` distinct outstanding cells
+  per worker and refuses a miss beyond that with 429.
+* A **dispatcher thread** executes the cells.  With
+  ``backend="process"`` it runs one
+  :meth:`~repro.batch.pool.SharedPool.imap` call for the server's
+  lifetime over an open :class:`~repro.batch.pool.TaskSource`: a miss
+  hands its cell over at once, and the pool dispatches it as soon as a
+  worker frees, with at most ``workers`` cells in flight and blame,
+  quarantine and respawn per cell.  With ``backend="inline"`` it drains
+  queued cells in batches and runs them itself.  Results hop back to
   the loop via ``call_soon_threadsafe``.
 * Server counters and latency histograms live on the **volatile plane**
   of one :class:`~repro.obs.telemetry.TelemetrySession`; ``/metrics``
@@ -29,8 +34,10 @@ HTTP/1.1 loop, no ``http.server``):
 Endpoints: ``POST /query`` (also GET with querystring), ``GET
 /status``, ``GET /metrics``, ``GET /workloads``.  Errors: 400 for bad
 JSON / malformed specs (:class:`~repro.graphs.GraphSpecError`), 404
-for unknown workloads (with did-you-mean) or paths, 503 while draining
-or when the pool quarantines a cell (deadline/chaos).
+for unknown workloads (with did-you-mean) or paths, 413 for a body
+declared longer than ``MAX_BODY_BYTES``, 429 (``Retry-After: 1``) when
+admission is full, 503 while draining or when the pool quarantines a
+cell (deadline/chaos).
 
 Drain: SIGTERM/SIGINT stops accepting connections, waits for in-flight
 queries, shuts the dispatcher and pool down, and exits 0.
@@ -51,11 +58,7 @@ from urllib.parse import parse_qsl, urlsplit
 from ..graphs import GraphSpecError
 from ..obs.telemetry import TelemetrySession, emit_span_event
 from ..batch.cache import GraphCache
-from ..batch.pool import (
-    PoolCrashError,
-    SharedPool,
-    imap_completion_order,
-)
+from ..batch.pool import PoolCrashError, SharedPool, TaskSource
 from ..batch.registry import WorkloadError, get_workload, workload_names
 from ..batch.status import fabric_tallies, format_duration
 from ..batch.store import canonical_line
@@ -71,12 +74,21 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
+    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
 #: How long a drain waits for in-flight queries before giving up.
 DRAIN_TIMEOUT_S = 30.0
+
+#: Distinct cells that may be outstanding per worker (the inline
+#: backend counts as one); a miss beyond that is refused with 429.
+ADMISSION_PER_WORKER = 256
+
+#: Largest request body read; a query body is ~80 bytes.
+MAX_BODY_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ class ServeConfig:
     processes, same rows — while ``"process"`` keeps a persistent
     :class:`~repro.batch.pool.SharedPool` hot for the server's
     lifetime.  ``deadline_s``/``max_attempts`` arm the pool's
-    hung-worker watchdog per batch; ``chaos`` is the deterministic
+    hung-worker watchdog per cell; ``chaos`` is the deterministic
     fault-injection hook the 503 tests use.
     """
 
@@ -252,6 +264,7 @@ class ReproServe:
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[SharedPool] = None
+        self._source: Optional[TaskSource] = None
         self._graph_cache = GraphCache()
         self._writers: set = set()
         self._started_monotonic = 0.0
@@ -265,6 +278,7 @@ class ReproServe:
         self._started_monotonic = time.monotonic()
         if self.config.backend == "process":
             self._pool = SharedPool(workers=self.config.workers)
+            self._source = TaskSource()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch",
             daemon=True,
@@ -298,7 +312,10 @@ class ReproServe:
         deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while self._inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
-        self._tasks.put(None)
+        if self._source is not None:
+            self._source.close()
+        else:
+            self._tasks.put(None)
         if self._thread is not None:
             await self._loop.run_in_executor(None, self._thread.join)
         if self._pool is not None:
@@ -310,7 +327,9 @@ class ReproServe:
     # -- dispatcher thread -------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """Drain the task queue in batches until the shutdown sentinel.
+        """Execute handed-over cells until the server drains: the
+        process backend's pool call, or inline batches of the task
+        queue until its shutdown sentinel.
 
         Runs with the server's telemetry session ambient so the pool's
         fabric counters and ``run_cell``'s task spans accumulate in the
@@ -319,6 +338,9 @@ class ReproServe:
         process while the server is executing cells.)
         """
         with self.session.activate():
+            if self._source is not None:
+                self._drain_source(self._source)
+                return
             while True:
                 item = self._tasks.get()
                 if item is None:
@@ -335,46 +357,52 @@ class ReproServe:
                     batch.append(extra)
                 self._run_batch(batch)
 
+    def _drain_source(self, source: TaskSource) -> None:
+        """Process backend: one pool call over the open source, posting
+        each cell's outcome as it finishes.  A :class:`PoolCrashError`
+        ends a call; the cells it lost are answered and a new call
+        opens on the same source.  The cell in each item carries the
+        key its outcome resolves."""
+        while True:
+            try:
+                for index, state, payload in self._pool.imap(
+                    _process_cell,
+                    source,
+                    deadline_s=self.config.deadline_s,
+                    max_attempts=self.config.max_attempts,
+                    chaos=self.config.chaos,
+                ):
+                    key = source.items[index][0].key
+                    if state == "ok":
+                        self._post(
+                            key, ("ok", payload["row"], payload["telemetry"])
+                        )
+                    else:
+                        self._post(key, (state, payload))
+                return
+            except PoolCrashError as exc:
+                for cell, _provider, _profile_dir in exc.pending_items:
+                    self._post(cell.key, ("error", exc))
+
     def _run_batch(
         self, batch: List[Tuple[str, SweepCell, Optional[str]]]
     ) -> None:
+        """Hand ``(key, cell, provider)`` triples to execution: to the
+        process backend's source, or run here when inline."""
         self._registry.histogram("serve_batch_cells", volatile=True).observe(
             len(batch)
         )
-        if self.config.backend == "inline":
-            for key, cell, provider in batch:
-                try:
-                    row = run_cell(cell, self._graph_cache, provider)
-                except Exception as exc:
-                    self._post(key, ("error", exc))
-                else:
-                    self._post(key, ("ok", row, None))
+        if self._source is not None:
+            for _key, cell, provider in batch:
+                self._source.put((cell, provider, None))
             return
-        keys = [key for key, _cell, _provider in batch]
-        items = [(cell, provider, None) for _key, cell, provider in batch]
-        unresolved = set(keys)
-        try:
-            for position, state, payload in imap_completion_order(
-                _process_cell,
-                items,
-                pool=self._pool,
-                deadline_s=self.config.deadline_s,
-                max_attempts=self.config.max_attempts,
-                chaos=self.config.chaos,
-            ):
-                key = keys[position]
-                unresolved.discard(key)
-                if state == "ok":
-                    self._post(
-                        key, ("ok", payload["row"], payload["telemetry"])
-                    )
-                elif state == "quarantined":
-                    self._post(key, ("quarantined", payload))
-                else:
-                    self._post(key, ("error", payload))
-        except Exception as exc:  # PoolCrashError included: keep serving
-            for key in unresolved:
+        for key, cell, provider in batch:
+            try:
+                row = run_cell(cell, self._graph_cache, provider)
+            except Exception as exc:
                 self._post(key, ("error", exc))
+            else:
+                self._post(key, ("ok", row, None))
 
     def _post(self, key: str, outcome: Tuple[Any, ...]) -> None:
         """Hop a finished cell back to the event-loop thread."""
@@ -435,6 +463,12 @@ class ReproServe:
                 if length < 0:
                     await self._respond(writer, 400, self._error_body(
                         400, "bad Content-Length header"
+                    ), close=True)
+                    break
+                if length > MAX_BODY_BYTES:
+                    await self._respond(writer, 413, self._error_body(
+                        413, f"request body of {length} bytes exceeds "
+                        f"the {MAX_BODY_BYTES}-byte limit"
                     ), close=True)
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -582,11 +616,19 @@ class ReproServe:
                 outcome = "flight"
                 flavor = "flight"
             else:
+                limit = ADMISSION_PER_WORKER * self.workers
+                if len(self._inflight) >= limit:
+                    return 429, self._error_body(
+                        429, f"{limit} distinct cells already outstanding"
+                    ), (("Retry-After", "1"),)
                 outcome = "miss"
                 flavor = "miss"
                 future = self._loop.create_future()
                 self._inflight[key] = future
-                self._tasks.put((key, cell, provider))
+                if self._source is not None:
+                    self._run_batch([(key, cell, provider)])
+                else:
+                    self._tasks.put((key, cell, provider))
             result = await future
             kind = result[0]
             if kind == "ok":

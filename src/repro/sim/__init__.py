@@ -30,7 +30,6 @@ from .faults import (
 from .metrics import PhaseBreakdown, RunMetrics
 from .model import DEFAULT_WORD_LIMIT, Envelope, MessageStats, measure_words
 from .network import DEFAULT_MAX_ROUNDS, SCHEDULING_MODES, Network
-from .orchestrator import Orchestrator
 from .program import Context, IdleProgram, NodeProgram, ScriptedProgram, split_by_tag
 from .reliable import (
     RELIABLE_HEADER_WORDS,
@@ -76,7 +75,6 @@ __all__ = [
     "ModelViolation",
     "Network",
     "NodeProgram",
-    "Orchestrator",
     "NotANeighbor",
     "PARALLEL_BACKENDS",
     "ParallelRunError",

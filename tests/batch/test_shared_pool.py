@@ -1,6 +1,10 @@
-"""SharedPool: reuse across calls, ambient routing, crash recovery."""
+"""SharedPool: reuse across calls, ambient routing, crash recovery,
+and the event-driven drain (wake on completion, open task sources)."""
 
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -10,6 +14,8 @@ from repro.batch import (
     imap_completion_order,
     map_submission_order,
 )
+from repro.batch import pool as pool_module
+from repro.batch.pool import TaskSource
 
 
 def _square(x):
@@ -31,6 +37,21 @@ def _crash_once(marker_path):
 
 def _crash_always(_x):
     os._exit(13)
+
+
+def _square_or_crash(x):
+    """Square ``x``; a negative ``x`` kills the worker."""
+    if x < 0:
+        os._exit(13)
+    return x * x
+
+
+def _hang_or_nap(item):
+    """``"hang"`` wedges the worker; anything else naps 1 ms."""
+    if item == "hang":
+        time.sleep(600.0)
+    time.sleep(0.001)
+    return item
 
 
 class TestReuse:
@@ -93,6 +114,29 @@ class TestReuse:
         pool.close()
         pool.close()
 
+    def test_workers_die_despite_a_sigterm_handler(self):
+        """Workers forked from a process that handles SIGTERM (as
+        ``repro serve`` does) inherit the handler, so the pool ends
+        them with SIGKILL; ``close`` would otherwise hang joining a
+        worker the pool forked to replace one it had just killed."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        pool = SharedPool(workers=1)
+        try:
+            pool.map(_square, [2])
+            worker = pool._pool._pool[0]
+            worker.terminate()
+            # The pool's own thread may reap the worker first, so poll.
+            deadline = time.monotonic() + 10
+            while worker.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert worker.exitcode == -signal.SIGKILL
+        finally:
+            closer = threading.Thread(target=pool.close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            signal.signal(signal.SIGTERM, previous)
+        assert not closer.is_alive(), "close() hung"
+
 
 class TestCrashRecovery:
     def test_worker_crash_restarts_and_finishes(self, tmp_path):
@@ -137,3 +181,107 @@ def _mixed(item):
     if kind == "crash":
         return _crash_once(value)
     return value
+
+
+def _drain_in_thread(pool, source, outcomes):
+    """Consume ``pool.imap(_square, source)`` on a daemon thread, so a
+    call that never ends fails a bounded join instead of hanging."""
+    thread = threading.Thread(
+        target=lambda: outcomes.extend(pool.imap(_square, source)),
+        daemon=True,
+    )
+    thread.start()
+    return thread
+
+
+class TestEventDrain:
+    def test_completion_wakes_the_drain(self, monkeypatch):
+        """A finished task wakes the draining thread: with a 30 s poll
+        interval, three trivial tasks still finish at once."""
+        monkeypatch.setattr(pool_module, "_POLL_INTERVAL", 30.0)
+        started = time.monotonic()
+        with SharedPool(workers=1) as pool:
+            outcomes = sorted(pool.imap(_square, [1, 2, 3]))
+        assert outcomes == [(0, "ok", 1), (1, "ok", 4), (2, "ok", 9)]
+        assert time.monotonic() - started < 5
+
+    def test_hang_is_caught_under_steady_completions(self):
+        """Completions arriving faster than the poll interval do not
+        starve the deadline check: the hung task is recovered about
+        its deadline after it started, while the others keep going."""
+        deadline = 0.3
+        items = ["hang"] + list(range(1, 801))
+        arrivals = {}
+        started = time.monotonic()
+        with SharedPool(
+            workers=2, deadline_s=deadline, max_attempts=1
+        ) as pool:
+            for index, status, _payload in pool.imap(_hang_or_nap, items):
+                arrivals[index] = (status, time.monotonic() - started)
+        assert sorted(arrivals) == list(range(len(items)))
+        status, caught_at = arrivals[0]
+        assert status == "quarantined"
+        assert caught_at < deadline + 1.0
+        ok_times = [at for state, at in arrivals.values() if state == "ok"]
+        assert min(ok_times) < caught_at < max(ok_times)
+
+
+class TestTaskSource:
+    def test_items_handed_over_while_running_are_yielded_once(self):
+        source = TaskSource()
+        outcomes = []
+        with SharedPool(workers=2) as pool:
+            drain = _drain_in_thread(pool, source, outcomes)
+            handed = {}
+            for x in range(20):
+                handed[source.put(x)] = x
+                time.sleep(0.002)
+            source.close()
+            drain.join(timeout=30)
+            assert not drain.is_alive()
+        assert sorted(index for index, _s, _p in outcomes) == sorted(handed)
+        for index, status, payload in outcomes:
+            assert (status, payload) == ("ok", handed[index] ** 2)
+        with pytest.raises(RuntimeError, match="closed"):
+            source.put(1)
+
+    def test_close_ends_the_call_after_in_flight_tasks(self):
+        source = TaskSource()
+        outcomes = []
+        with SharedPool(workers=1) as pool:
+            drain = _drain_in_thread(pool, source, outcomes)
+            source.put(7)
+            deadline = time.monotonic() + 10
+            while pool.dispatched < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            source.close()
+            drain.join(timeout=30)
+            assert not drain.is_alive()
+        assert outcomes == [(0, "ok", 49)]
+
+    def test_open_source_without_items_starts_no_pool(self):
+        source = TaskSource()
+        outcomes = []
+        with SharedPool(workers=1) as pool:
+            drain = _drain_in_thread(pool, source, outcomes)
+            time.sleep(0.1)
+            assert not pool.started
+            source.close()
+            drain.join(timeout=10)
+            assert not drain.is_alive()
+            assert not pool.started
+        assert outcomes == []
+
+    def test_a_new_call_after_a_crash_yields_only_its_own_items(self):
+        """The crashed call reports the item it lost; the next call on
+        the same source drops the old call's outcomes and runs on."""
+        source = TaskSource([-1])
+        with SharedPool(workers=2, max_restarts=0) as pool:
+            with pytest.raises(PoolCrashError) as err:
+                next(pool.imap(_square_or_crash, source))
+            assert err.value.pending_items == (-1,)
+            later = source.put(5)
+            source.close()
+            assert list(pool.imap(_square_or_crash, source)) == [
+                (later, "ok", 25)
+            ]

@@ -2,12 +2,15 @@
 
 The load-bearing contract: a served response body is byte-identical to
 the corresponding row of a finalized ``run_sweep`` store.  Around it,
-the error paths the ISSUE pins (400 malformed spec, 404 did-you-mean,
-503 quarantine with tally), single-flight dedup, LRU eviction, and the
+the error paths (400 malformed spec, 404 did-you-mean, 413 oversized
+body, 429 full admission, 503 quarantine with tally), single-flight
+dedup, concurrent misses on the process backend, LRU eviction, and the
 status/metrics documents.
 """
 
 import json
+import os
+import socket
 import threading
 import time
 import urllib.error
@@ -28,6 +31,7 @@ from repro.serve import (
     running_server,
     serve_tallies,
 )
+from repro.serve import server as server_module
 
 # --- a gate workload the single-flight test can hold open ------------
 _GATE_STARTED = threading.Event()
@@ -40,6 +44,40 @@ def _gate_workload(graph, cell):
     _GATE_STARTED.set()
     assert _GATE_RELEASE.wait(timeout=30), "gate never released"
     return {"rounds": 0, "gated": True}
+
+
+# --- a pair of cells that only finish when they run at the same time -
+#: Directory of the pair's marker files; set before the pool forks.
+_PAIR_DIR = []
+
+
+@register_workload("serve-pair")
+def _pair_workload(graph, cell):
+    """Test-only workload: marks its cell, then waits for the other's."""
+    with open(os.path.join(_PAIR_DIR[-1], str(cell.seed)), "w"):
+        pass
+    other = os.path.join(_PAIR_DIR[-1], str(1 - cell.seed))
+    deadline = time.monotonic() + 10
+    while not os.path.exists(other):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"cell {1 - cell.seed} never started")
+        time.sleep(0.01)
+    return {"rounds": 0, "paired": True}
+
+
+@register_workload("serve-crash")
+def _crash_workload(graph, cell):
+    """Test-only workload that kills its worker process."""
+    os._exit(13)
+
+
+def wait_for(predicate, timeout=10):
+    """Poll ``predicate`` until it holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail("condition never held")
+        time.sleep(0.01)
 
 
 def http(port, path, body=None, method=None, timeout=30):
@@ -211,6 +249,116 @@ class TestSingleFlight:
         assert doc["tasks"]["ok"] == 1  # one pool task, not five
         assert doc["requests"]["miss"] == 1
         assert doc["requests"]["flight"] == 4
+
+
+class TestConcurrentMisses:
+    def test_two_misses_run_at_once(self, tmp_path):
+        """A second miss is dispatched to the free worker while the
+        first still runs: each cell waits for the other's marker."""
+        _PAIR_DIR.append(str(tmp_path))
+        config = ServeConfig(
+            port=0, backend="process", workers=2, cache_size=4
+        )
+        results = {}
+        with running_server(config) as server:
+
+            def send(seed):
+                body = query_body("serve-pair", "tree:n=8", seed, 2)
+                results[seed] = http(server.port, "/query", body)
+
+            threads = [
+                threading.Thread(target=send, args=(seed,))
+                for seed in (0, 1)
+            ]
+            threads[0].start()
+            wait_for((tmp_path / "0").exists)
+            threads[1].start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        assert results[0][0] == 200, results[0][1]
+        assert results[1][0] == 200, results[1][1]
+
+
+class TestPoolCrash:
+    def test_lost_cell_is_answered_and_serving_goes_on(self):
+        config = ServeConfig(
+            port=0, backend="process", workers=1, cache_size=4,
+            max_attempts=99,
+        )
+        with running_server(config) as server:
+            body = query_body("serve-crash", "tree:n=8", 0, 2)
+            status, payload, _ = http(server.port, "/query", body)
+            assert status == 500
+            assert "PoolCrashError" in json.loads(payload)["error"]
+            body = query_body("kdom", "tree:n=8", 0, 2)
+            assert http(server.port, "/query", body)[0] == 200
+
+
+class TestAdmission:
+    def test_misses_beyond_the_bound_get_429(self, monkeypatch):
+        monkeypatch.setattr(server_module, "ADMISSION_PER_WORKER", 2)
+        _GATE_STARTED.clear()
+        _GATE_RELEASE.clear()
+        gate = query_body("serve-gate", "tree:n=8", 0, 2)
+        queued = query_body("kdom", "tree:n=8", 0, 2)
+        refused = query_body("kdom", "tree:n=8", 1, 2)
+        config = ServeConfig(port=0, backend="inline", cache_size=8)
+        results = []
+        try:
+            with running_server(config) as server:
+                port = server.port
+
+                def inflight():
+                    return json.loads(http(port, "/status")[1])["inflight"]
+
+                def send(body):
+                    thread = threading.Thread(
+                        target=lambda: results.append(
+                            http(port, "/query", body)
+                        )
+                    )
+                    thread.start()
+                    return thread
+
+                threads = [send(gate)]
+                assert _GATE_STARTED.wait(timeout=10)
+                threads.append(send(queued))
+                wait_for(lambda: inflight() == 2)
+                status, payload, headers = http(port, "/query", refused)
+                assert status == 429
+                assert headers["Retry-After"] == "1"
+                assert json.loads(payload)["status"] == 429
+                # Joining an in-flight key is still admitted (a handler
+                # counts its cache miss before it joins the flight).
+                threads.append(send(gate))
+                wait_for(lambda: json.loads(
+                    http(port, "/status")[1]
+                )["cache"]["misses"] == 4)
+                assert inflight() == 2
+                _GATE_RELEASE.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert [r[0] for r in results] == [200, 200, 200]
+                assert http(port, "/query", refused)[0] == 200
+        finally:
+            _GATE_RELEASE.set()
+
+
+class TestBodyCap:
+    def test_oversized_body_is_413_without_reading_it(self, inline_server):
+        port = inline_server.port
+        declared = server_module.MAX_BODY_BYTES + 1
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % declared
+            )
+            response = sock.makefile("rb").read()
+        assert response.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+        assert b"Connection: close" in response
+        assert http(port, "/status")[0] == 200
 
 
 class TestLRUEviction:
