@@ -24,7 +24,7 @@ from ..graphs.graph import Graph
 from ..graphs.partition import Partition
 from ..sim.runner import StagedRun
 from .fastdom_tree import fastdom_tree
-from .spanning_forest import simple_mst_forest
+from .spanning_forest import fragment_trees, simple_mst_forest
 
 
 def fastdom_graph(
@@ -40,7 +40,8 @@ def fastdom_graph(
     (k-dominating set, radius-<=k partition, per-stage rounds).
     ``backend`` is forwarded to the per-fragment :func:`fastdom_tree`
     runs (``"dense"`` vectorizes them; see that driver's fallback
-    rules) — the SimpleMST stage always runs on the event engine.
+    rules); SimpleMST skips the engine unless observed (see
+    :func:`~repro.core.spanning_forest.simple_mst_forest`).
     """
     from ..graphs.validation import is_connected
 
@@ -66,18 +67,9 @@ def fastdom_graph(
     center_map: Dict[Any, Any] = {}
     max_fragment_rounds = 0
     fragment_messages = 0
-    for fragment in fragments:
-        fragment_parent = {
-            v: (parents[v] if parents[v] in fragment else None)
-            for v in fragment
-        }
-        fragment_root = next(
-            v for v in sorted(fragment, key=str) if fragment_parent[v] is None
-        )
-        tree_edges = [
-            (v, p) for v, p in fragment_parent.items() if p is not None
-        ]
-        fragment_tree = graph.subgraph(fragment).edge_subgraph(tree_edges)
+    for _fragment, fragment_tree, fragment_root, fragment_parent in fragment_trees(
+        graph, parents, fragments
+    ):
         frag_d, frag_p, frag_staged = fastdom_tree(
             fragment_tree, fragment_root, fragment_parent, k,
             method=method, backend=backend,

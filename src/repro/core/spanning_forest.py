@@ -35,15 +35,25 @@ L+1..2L+1  echo: depth-d nodes report ``too_deep`` at slot 2L+1-d
 Phase length ``5 * 2^i + 3`` (the paper states ``5 * 2^i + 2``; one
 slot of difference from making the id-exchange its own slot —
 reproduction note R4; the O(k) total of Lemma 4.1 is unaffected).
+
+:func:`simple_mst_forest` skips the simulation when unobserved:
+:func:`_direct_forest` applies this schedule phase by phase to per-node
+state, tallies each message at the round and size the program sends it,
+and installs outputs and metrics with ``Network.adopt_results``.
+:class:`SimpleMSTProgram` on the engine stays the reference
+(tests/core/test_simple_mst_port.py) and the only route emitting events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
-from ..sim.model import Envelope
-from ..sim.network import Network
+from ..obs.session import current_observation
+from ..sim.errors import RoundLimitExceeded, UnserializablePayload
+from ..sim.metrics import RunMetrics
+from ..sim.model import Envelope, MessageStats, measure_words
+from ..sim.network import DEFAULT_MAX_ROUNDS, Network
 from ..sim.program import Context, ScriptedProgram
 from .partition_common import log2_phase_count
 
@@ -308,11 +318,161 @@ def simple_mst_forest(
 
     Returns (fragment parent map, list of fragment node sets, network).
     """
+    # Built on both routes: the port reads its tables and fills it in.
     network = Network(graph, word_limit=word_limit)
-    network.run(lambda ctx: SimpleMSTProgram(ctx, k))
+    if not _direct_forest(network, k):
+        network.run(lambda ctx: SimpleMSTProgram(ctx, k))
     parents = network.output_field("parent")
     fragments = _components_from_parents(parents)
     return parents, fragments, network
+
+
+def _direct_forest(network: Network, k: int) -> bool:
+    """Compute :class:`SimpleMSTProgram`'s run without simulating it.
+
+    Returns False, leaving ``network`` untouched, under an observation
+    (only the engine emits events), on an empty graph, or when a payload
+    might not fit the word limit (PRB, the largest, has 2 + the words of
+    a root id), so that the engine runs with its exact events and errors.
+    """
+    nodes = network.nodes
+    if current_observation() is not None or not nodes:
+        return False
+    try:
+        words = {v: measure_words((v,)) for v in nodes}
+    except UnserializablePayload:
+        return False
+    neighbors, weights = network._neighbors, network._weights
+    if network.word_limit < 2 + max(words.values()) or any(
+        type(w) not in (int, float, type(None))  # MOE weights: one word
+        for incident in weights.values()
+        for w in incident.values()
+    ):
+        return False
+    phases = log2_phase_count(k)
+    if sum(5 * 2 ** i + 3 for i in range(1, phases + 1)) > DEFAULT_MAX_ROUNDS:
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
+    parent: Dict[Any, Any] = dict.fromkeys(nodes)
+    children: Dict[Any, Set[Any]] = {v: set() for v in nodes}
+    is_root = dict.fromkeys(nodes, True)
+    fragment_id = {v: v for v in nodes}
+    sends: List[Tuple[int, int, int]] = []  # (round, messages, words each)
+    start = 0
+    for i in range(1, phases + 1):
+        L = 2 ** i
+        # Depth-d nodes hear PRB at slot d and echo at 2L+1-d; a fragment
+        # is active iff no depth-L node has children.
+        active = []
+        for root in nodes:
+            if not is_root[root]:
+                continue
+            fragment_id[root] = root
+            levels = [[root]]
+            while len(levels) <= L:
+                level = [c for v in levels[-1] for c in children[v]]
+                if not level:
+                    break
+                d = len(levels)
+                sends.append((start + d - 1, len(level), 2 + words[root]))
+                sends.append((start + 2 * L + 1 - d, len(level), 2))
+                for v in level:
+                    fragment_id[v] = root
+                levels.append(level)
+            if len(levels) <= L or not any(children[v] for v in levels[L]):
+                active.append(levels)
+        member = {v: lv[0][0] for lv in active for level in lv for v in level}
+        sent: Dict[Any, Any] = {}  # CONNECT sender -> target
+        got: Dict[Any, List[Any]] = {}  # CONNECT target -> senders
+        for levels in active:
+            root = levels[0][0]
+            for d in range(1, len(levels)):
+                sends.append((start + 2 * L + d, len(levels[d]), 1))  # ACT
+            fid = sum(len(neighbors[v]) for level in levels for v in level)
+            sends.append((start + 3 * L + 1, fid, 1 + words[root]))
+            # Slot 3L+2: an edge is outgoing unless an FID (sent by active
+            # nodes only) named this root.  The convergecast keeps the
+            # lightest of those and the children's reports, in inbox order.
+            best: Dict[Any, Tuple[Any, Any, Any]] = {}
+            for d in range(len(levels) - 1, -1, -1):
+                for v in levels[d]:
+                    wv = weights[v]
+                    out = [(wv[u], u) for u in neighbors[v] if member.get(u) != root]
+                    weight, target = min(out) if out else (None, None)
+                    source = _SELF if out else None
+                    for child in sorted(children[v], key=str):
+                        w = best[child][0]
+                        if w is not None and (weight is None or w < weight):
+                            weight, source = w, child
+                    best[v] = (weight, source, target)
+                if d:
+                    sends.append((start + 4 * L + 2 - d, len(levels[d]), 2))  # MOE
+            # Rootship walks from slot 4L+2 to the MOE's endpoint v*,
+            # which sends CONNECT at slot 5L+2.
+            v = root
+            weight, source, target = best[v]
+            if weight is None:
+                continue  # no outgoing edge: the fragment spans its component
+            hop = start + 4 * L + 2
+            while not (source == _SELF or source is None):
+                sends.append((hop, 1, 1))  # XFR
+                children[v].discard(source)
+                parent[v], is_root[v] = source, False
+                children[source].add(v)
+                parent[source] = None
+                v, hop = source, hop + 1
+                _weight, source, target = best[v]
+            is_root[v] = True
+            if target is not None:
+                sends.append((start + 5 * L + 2, 1, 1 + words[v]))  # CON
+                sent[v] = target
+                got.setdefault(target, []).append(v)
+        # Slot 5L+3: reciprocal CONNECTs make the higher id the root;
+        # one-sided ones hang the sender under the target.
+        for x, senders in got.items():
+            for sender in senders:
+                if sent.get(x) == sender and not x > sender:
+                    parent[x], is_root[x] = sender, False
+                else:
+                    children[x].add(sender)
+        for x, target in sent.items():
+            if target not in got.get(x, ()):
+                parent[x], is_root[x] = target, False
+        start += 5 * L + 3
+    traffic = MessageStats()
+    for round_number, messages, size in sorted(sends):
+        if messages:
+            traffic.messages += messages
+            traffic.total_words += messages * size
+            traffic.max_words = max(traffic.max_words, size)
+            per_round = traffic.per_round
+            per_round[round_number] = per_round.get(round_number, 0) + messages
+    outputs = {
+        v: {
+            "parent": parent[v],
+            "children": tuple(sorted(children[v], key=str)),
+            "is_root": is_root[v],
+            "fragment_id": fragment_id[v],
+            "tree_edges": tuple(sorted(children[v] | ({parent[v]} - {None}), key=str)),
+        }
+        for v in nodes
+    }
+    metrics = RunMetrics(start, traffic, all_halted=True, halted_nodes=len(nodes))
+    network.adopt_results(metrics, outputs, dict.fromkeys(nodes, True))
+    return True
+
+
+def fragment_trees(
+    graph: Graph, parents: Dict[Any, Optional[Any]], fragments: List[Set[Any]]
+) -> Iterator[Tuple[Set[Any], Graph, Any, Dict[Any, Optional[Any]]]]:
+    """Yield ``(fragment, tree, root, parent map)`` for each fragment of a
+    :func:`simple_mst_forest` result: the fragment's tree edges as a
+    subgraph of ``graph``, rooted at its str-least parentless node."""
+    for fragment in fragments:
+        fragment_parent = {v: parents[v] for v in fragment}
+        root = min((v for v in fragment if parents[v] is None), key=str)
+        tree_edges = [(v, p) for v, p in fragment_parent.items() if p is not None]
+        tree = graph.subgraph(fragment).edge_subgraph(tree_edges)
+        yield fragment, tree, root, fragment_parent
 
 
 def _components_from_parents(

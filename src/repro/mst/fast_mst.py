@@ -25,7 +25,7 @@ import math
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.partition_fast import dom_partition
-from ..core.spanning_forest import simple_mst_forest
+from ..core.spanning_forest import fragment_trees, simple_mst_forest
 from ..graphs.graph import Graph
 from ..sim.runner import StagedRun
 from .kruskal import _canonical
@@ -67,16 +67,9 @@ def fast_mst(
     max_partition_rounds = 0
     max_cluster_radius = 0
     n_clusters = 0
-    for fragment in fragments:
-        fragment_parent = {
-            v: (parents[v] if parents[v] in fragment else None)
-            for v in fragment
-        }
-        fragment_root = next(
-            v for v in sorted(fragment, key=str) if fragment_parent[v] is None
-        )
-        tree_edges = [(v, p) for v, p in fragment_parent.items() if p is not None]
-        fragment_tree = graph.subgraph(fragment).edge_subgraph(tree_edges)
+    for fragment, fragment_tree, fragment_root, fragment_parent in fragment_trees(
+        graph, parents, fragments
+    ):
         if k >= 1 and fragment_tree.num_nodes >= k + 1:
             partition, part_staged = dom_partition(
                 fragment_tree, fragment_root, fragment_parent, k

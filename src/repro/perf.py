@@ -55,6 +55,7 @@ Usage::
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import json
 import platform
@@ -225,6 +226,7 @@ def time_workload(fn: Callable[[], Any], reps: int) -> List[float]:
     """Run ``fn`` ``reps`` times; return the wall-clock time of each run."""
     times = []
     for _ in range(reps):
+        gc.collect()  # so no run pays for an earlier run's cyclic garbage
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -284,6 +286,8 @@ def measure_observability(
     is about.  ``observed_seconds`` adds a
     :class:`~repro.obs.CountingSubscriber`, the cheapest real consumer,
     so the ratio bounds the event stream's dispatch cost from below.
+    Bare runs skip the engine for SimpleMST and observed runs simulate
+    it, so the ``fast_mst``/``sweep_kdom`` ratios (not gated) include it.
     """
     from .obs import CountingSubscriber, observe
 

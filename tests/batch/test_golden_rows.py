@@ -1,0 +1,66 @@
+"""Golden rows: sweep cells reproduce committed bytes.
+
+CI's ``cmp`` steps compare two runs of one commit, so a change that
+alters every row the same way passes them.  This file pins the
+``canonical_line`` of a fixed set of ``kdom`` and ``mst`` cells — the
+``--fast`` grids and the perfbench sweep specs — against a recording.
+
+Regenerate only after a deliberate row change::
+
+    PYTHONPATH=src python tests/batch/test_golden_rows.py
+"""
+
+import os
+
+import pytest
+
+from repro.batch import SweepCell, fast_grid, run_cell
+from repro.batch.store import canonical_line
+
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden", "rows.jsonl")
+
+#: The perfbench ``sweep`` workload's (workload, spec) pairs.
+PERFBENCH_SWEEP = (
+    ("kdom", "tree:n=80"),
+    ("kdom", "random:n=80,p=0.06"),
+    ("kdom", "grid:8x10"),
+    ("mst", "random:n=80,p=0.06"),
+)
+
+
+def golden_cells():
+    cells = fast_grid("kdom").cells() + fast_grid("mst").cells()
+    cells += [
+        SweepCell(workload, spec, 0, k)
+        for workload, spec in PERFBENCH_SWEEP
+        for k in (2, 8)
+    ]
+    return cells
+
+
+def render(cell) -> str:
+    return canonical_line(run_cell(cell)) + "\n"
+
+
+def _recorded():
+    with open(GOLDEN_ROWS) as handle:
+        return handle.readlines()
+
+
+CELLS = golden_cells()
+
+
+def test_golden_file_covers_every_cell():
+    assert len(_recorded()) == len(CELLS)
+
+
+@pytest.mark.parametrize("index", range(len(CELLS)), ids=[c.key for c in CELLS])
+def test_row_matches_golden(index):
+    assert render(CELLS[index]) == _recorded()[index]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_ROWS, "w") as handle:
+        for cell in CELLS:
+            handle.write(render(cell))
+    print(f"rewrote {GOLDEN_ROWS}")

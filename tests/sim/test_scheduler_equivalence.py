@@ -23,6 +23,7 @@ from repro.graphs import (
     random_connected_graph,
     random_tree,
 )
+from repro.obs import observe
 from repro.primitives.bfs import BFSTreeProgram
 from repro.primitives.convergecast import ConvergecastProgram, sum_combiner
 from repro.primitives.echo import HopLimitedEchoProgram
@@ -139,7 +140,11 @@ class TestScriptedProgramsEquivalent:
         runs = {}
         for scheduling in ("full", "active"):
             monkeypatch.setattr(Network, "default_scheduling", scheduling)
-            parents, fragments, network = simple_mst_forest(graph, 5)
+            # Unobserved, the driver skips the engine; observed, it runs
+            # SimpleMSTProgram under the patched scheduler.
+            with observe():
+                parents, fragments, network = simple_mst_forest(graph, 5)
+            assert isinstance(network.programs[0], SimpleMSTProgram)
             runs[scheduling] = (
                 parents,
                 sorted(tuple(sorted(f, key=str)) for f in fragments),
