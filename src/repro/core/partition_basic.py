@@ -8,8 +8,8 @@ per iteration (property (c) of Definition 3.1) and the output is a
 Lemma 3.4: every output cluster C satisfies ``|C| >= k + 1`` and
 ``Rad(C) <= 4 k^2``, and the algorithm needs ``O(k^2 log* n)`` time —
 each virtual round over the contracted tree costs time proportional to
-the current maximum cluster diameter, which this driver charges through
-:class:`~repro.sim.virtual.VirtualNetwork`.
+the current maximum cluster diameter, which this driver charges as
+:class:`~repro.sim.virtual.VirtualNetwork` does.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def dom_partition_1(
         if len(clusters) == 1:
             # Fully contracted: nothing left to merge.
             break
-        center_map, virtual = run_balanced_dom_on_forest(
+        center_map, rounds, radius = run_balanced_dom_on_forest(
             tree, clusters, t_parent
         )
-        staged.add_rounds(f"iteration-{iteration}", virtual.physical_rounds)
+        staged.add_rounds(f"iteration-{iteration}", rounds * (2 * radius + 1))
         clusters = merge_by_center_map(clusters, center_map, t_depth)
     return clusters_to_partition(tree, clusters), staged

@@ -62,8 +62,10 @@ def dom_partition_2(
         if not live:
             break
         # (3a) BalancedDOM on every tree of the forest, then contract.
-        center_map, virtual = run_balanced_dom_on_forest(tree, live, t_parent)
-        staged.add_rounds(f"iteration-{iteration}", virtual.physical_rounds)
+        center_map, rounds, radius = run_balanced_dom_on_forest(
+            tree, live, t_parent
+        )
+        staged.add_rounds(f"iteration-{iteration}", rounds * (2 * radius + 1))
         live = merge_by_center_map(live, center_map, t_depth)
         # (3b) Remove sufficiently deep clusters to the output.  The
         # distributed depth test costs O(k) once per removed cluster

@@ -4,9 +4,11 @@ The paper's partition algorithms repeatedly (1) run ``BalancedDOM`` on a
 *contracted* tree whose nodes are the current clusters, and (2) merge
 clusters along the resulting star partition.  The distributed
 implementation appoints a centre per cluster and relays through cluster
-members (§3.2.1); its cost is charged through
-:class:`repro.sim.virtual.VirtualNetwork`.  This module holds the
-cluster bookkeeping that the drivers share:
+members (§3.2.1); its cost is charged as
+:class:`repro.sim.virtual.VirtualNetwork` charges it.  This module holds
+the drivers' one BalancedDOM entry point,
+:func:`run_balanced_dom_on_forest`, and the cluster bookkeeping they
+share:
 
 * clusters are connected subtrees of the input tree ``T``, identified by
   their *top* (the member closest to ``T``'s root) — uniqueness follows
@@ -24,6 +26,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
+from ..obs.session import current_observation
 from ..sim.virtual import ContractedGraph, VirtualNetwork
 
 
@@ -64,6 +67,8 @@ def tops_by_member(clusters: Dict[Any, Set[Any]]) -> Dict[Any, Any]:
     owner: Dict[Any, Any] = {}
     for top, members in clusters.items():
         for v in members:
+            if v in owner:
+                raise ValueError(f"node {v} appears in two clusters")
             owner[v] = top
     return owner
 
@@ -108,6 +113,23 @@ def build_contracted_forest(
     return ContractedGraph(base, clusters)
 
 
+def contracted_neighbors(
+    tree: Graph, clusters: Dict[Any, Set[Any]]
+) -> Dict[Any, Set[Any]]:
+    """Adjacency of :func:`build_contracted_forest`, without building it:
+    two clusters are adjacent iff a tree edge joins their members."""
+    owner = tops_by_member(clusters)
+    neighbors: Dict[Any, Set[Any]] = {}
+    for top, members in clusters.items():
+        adjacent = neighbors[top] = set()
+        for v in members:
+            for u in tree.neighbors(v):
+                other = owner.get(u)
+                if other is not None and other != top:
+                    adjacent.add(other)
+    return neighbors
+
+
 def merge_by_center_map(
     clusters: Dict[Any, Set[Any]],
     center_map: Dict[Any, Any],
@@ -131,27 +153,49 @@ def run_balanced_dom_on_forest(
     tree: Graph,
     clusters: Dict[Any, Set[Any]],
     t_parent: Dict[Any, Optional[Any]],
-) -> Tuple[Dict[Any, Any], VirtualNetwork]:
+    radius: Optional[int] = None,
+) -> Tuple[Dict[Any, Any], int, int]:
     """Run the star-partition dominating set on the contracted forest.
 
-    Returns (top -> dominator-top map, the virtual network for round
-    accounting).
-    """
-    from .small_dom_set import SmallDomSetProgram
+    Returns (top -> dominator-top map, virtual rounds, maximum cluster
+    radius); one virtual round costs ``2 * radius + 1`` physical rounds
+    (:class:`~repro.sim.virtual.VirtualNetwork`).  A caller that has
+    measured every cluster's depth passes their maximum as ``radius``.
 
-    contracted = build_contracted_forest(tree, clusters)
+    Unobserved, :func:`~repro.core.small_dom_set.direct_small_dom_set`
+    computes the run from the contracted adjacency and the clusters'
+    depths.  Under an observation, or when a cluster's contracted parent
+    is not one of its contracted neighbours, ``SmallDomSetProgram`` runs
+    on a :class:`~repro.sim.virtual.VirtualNetwork` instead.
+    """
+    from .small_dom_set import SmallDomSetProgram, direct_small_dom_set
+
     contracted_parents = contracted_parent_map(t_parent, clusters)
-    virtual = VirtualNetwork(contracted)
     # Contracted node ids are centre ids from the *original* tree, so
     # the colouring schedule must be derived from the original id space.
     id_bound = max(
         tree.num_nodes, max((v + 1 for v in tree.nodes), default=1)
     )
+    if current_observation() is None:
+        neighbors = contracted_neighbors(tree, clusters)
+        if radius is None:
+            radius = max(
+                (cluster_depth(tree, members, top)
+                 for top, members in clusters.items()),
+                default=0,
+            )
+        run = direct_small_dom_set(neighbors, contracted_parents, id_bound)
+        if run is not None:
+            return run[0], run[2], radius
+    virtual = VirtualNetwork(build_contracted_forest(tree, clusters))
     virtual.run(
         lambda ctx: SmallDomSetProgram(ctx, contracted_parents, id_bound=id_bound)
     )
-    center_map = virtual.output_field("dominator")
-    return center_map, virtual
+    return (
+        virtual.output_field("dominator"),
+        virtual.virtual_rounds,
+        virtual.round_cost // 2,
+    )
 
 
 def clusters_to_partition(

@@ -36,16 +36,14 @@ from ..graphs.distances import bfs_distances
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
 from ..sim.runner import StagedRun
-from ..sim.virtual import VirtualNetwork
 from .partition_bounded import _merge_side_set
 from .partition_common import (
-    build_contracted_forest,
     cluster_depth,
     cluster_depths,
-    contracted_parent_map,
     log2_phase_count,
     merge_by_center_map,
     recompute_top,
+    run_balanced_dom_on_forest,
     singleton_clusters,
     tops_by_member,
 )
@@ -105,8 +103,10 @@ def dom_partition(
         # 2 * 2^i wait this phase out.  Cost: a probe to depth 2 * 2^i
         # and back.
         staged.add_rounds(f"probe-{phase}", 2 * radius_cap + 1)
+        depth: Dict[Any, int] = {}
         for top in sorted(live, key=str):
-            if cluster_depth(tree, live[top], top) > radius_cap:
+            depth[top] = cluster_depth(tree, live[top], top)
+            if depth[top] > radius_cap:
                 waiting[top] = live.pop(top)
         # (3-IV) Lone participating clusters merge onto an eligible
         # waiting neighbour, or retire to the side set.
@@ -114,10 +114,12 @@ def dom_partition(
         if not live:
             continue
         # (3a) BalancedDOM on the participating forest, then contract.
-        center_map, virtual = _run_balanced_on_participants(
-            tree, live, t_parent
+        # Absorption only removed clusters, so the probe's depths of the
+        # participants are the contracted forest's cluster radii.
+        center_map, rounds, radius = run_balanced_dom_on_forest(
+            tree, live, t_parent, max(depth[top] for top in live)
         )
-        cost = virtual.virtual_rounds * (2 * min(virtual.round_cost // 2, radius_cap) + 1)
+        cost = rounds * (2 * min(radius, radius_cap) + 1)
         staged.add_rounds(f"balanced-{phase}", cost)
         live = merge_by_center_map(live, center_map, t_depth)
         # (3b) Deep merged clusters move to the output.
@@ -153,25 +155,6 @@ def _remove_deep_clusters(
             out[top] = live.pop(top)
             removed = True
     return removed
-
-
-def _run_balanced_on_participants(
-    tree: Graph,
-    live: Dict[Any, Set[Any]],
-    t_parent: Dict[Any, Optional[Any]],
-):
-    from .small_dom_set import SmallDomSetProgram
-
-    contracted = build_contracted_forest(tree, live)
-    contracted_parents = contracted_parent_map(t_parent, live)
-    virtual = VirtualNetwork(contracted)
-    id_bound = max(
-        tree.num_nodes, max((v + 1 for v in tree.nodes), default=1)
-    )
-    virtual.run(
-        lambda ctx: SmallDomSetProgram(ctx, contracted_parents, id_bound=id_bound)
-    )
-    return virtual.output_field("dominator"), virtual
 
 
 # Cluster status codes for the dense driver (meaningful at top rows).

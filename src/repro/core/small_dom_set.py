@@ -24,16 +24,30 @@ Isolated nodes (possible when the procedure runs on a forest) become
 singleton self-dominating clusters flagged ``singleton``; callers that
 require property (c) must not feed isolated nodes (the partition
 algorithms of §3.2 remove single-node trees before invoking this).
+
+:func:`direct_small_dom_set` computes the program's outputs and round
+count without simulating its messages; the partition drivers take it
+when unobserved.  :class:`SmallDomSetProgram` on the engine stays the
+reference (tests/core/test_small_dom_set_port.py) and the only route
+emitting events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Collection, Dict, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.partition import Partition
-from ..sim.network import Network
+from ..sim.errors import RoundLimitExceeded
+from ..sim.network import DEFAULT_MAX_ROUNDS, Network
+from ..symmetry.cole_vishkin import cv_step, cv_step_root
+from ..symmetry.log_star import cv_iterations
 from ..symmetry.matching import TreeMatchingProgram
+from ..symmetry.three_coloring import PALETTE
+
+#: Rounds of the script after the Cole–Vishkin steps: 1 drain round,
+#: 2 per shift-down phase, 3 per matching phase, 2 for the star partition.
+_ROUNDS_AFTER_CV = 1 + 3 * 2 + 3 * 3 + 2
 
 
 class SmallDomSetProgram(TreeMatchingProgram):
@@ -106,6 +120,104 @@ class SmallDomSetProgram(TreeMatchingProgram):
                 center = min(self.node, self.partner)
                 self.in_dominating_set = center == self.node
                 self.dominator = center
+
+
+def direct_small_dom_set(
+    neighbors: Dict[Any, Collection[Any]],
+    parent_of: Dict[Any, Optional[Any]],
+    id_bound: int,
+) -> Optional[Tuple[Dict[Any, Any], Dict[Any, bool], int]]:
+    """:class:`SmallDomSetProgram`'s run, computed without the engine.
+
+    ``neighbors`` maps every node to its neighbours (the topology the
+    program would run on).  Returns the ``dominator`` and
+    ``in_dominating_set`` outputs, in ascending node order as a
+    :class:`~repro.sim.virtual.ContractedGraph` lists them, and the
+    round count at which every node halts.  Returns None when a node's
+    parent is not one of its neighbours: the engine's run fails there,
+    and the caller runs it to raise that error.  Bad ids raise the
+    program's ``ValueError``.
+    """
+    nodes = sorted(neighbors)
+    if not nodes:
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)  # nothing ever halts
+    bound = max(len(nodes), id_bound or 1, 1)
+    for v in nodes:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError("colouring requires non-negative integer node ids")
+        if v >= bound:
+            raise ValueError(
+                f"node id {v} exceeds the declared id bound {bound}; "
+                "pass id_bound"
+            )
+    parent = {v: parent_of.get(v) for v in nodes}
+    if any(p is not None and p not in neighbors[v] for v, p in parent.items()):
+        return None
+    steps = cv_iterations(bound)
+    # Six-colouring: each step reads the parent's colour of the step before.
+    color = dict(zip(nodes, nodes))
+    for _step in range(steps):
+        color = {
+            v: cv_step_root(c) if parent[v] is None else cv_step(c, color[parent[v]])
+            for v, c in color.items()
+        }
+    # Shift-down: a non-root takes its parent's colour, so a node's
+    # children all hold its old colour; the target class then recolours.
+    has_children = {p for p in parent.values() if p is not None}
+    for target in (5, 4, 3):
+        shifted = {
+            v: min(x for x in PALETTE if x != c) if parent[v] is None
+            else color[parent[v]]
+            for v, c in color.items()
+        }
+        recolored = dict(shifted)
+        for v, c in shifted.items():
+            if c == target:
+                used = {color[v]} if v in has_children else set()
+                if parent[v] is not None:
+                    used.add(shifted[parent[v]])
+                recolored[v] = min(x for x in PALETTE if x not in used)
+        color = recolored
+    # Matching: colour-c nodes whose parent is unmatched propose; each
+    # parent accepts its smallest proposer.  Colours are proper, so no
+    # node both proposes and accepts in one phase.
+    partner: Dict[Any, Any] = {}
+    for c in PALETTE:
+        accepted: Dict[Any, Any] = {}
+        for v in nodes:
+            p = parent[v]
+            if color[v] == c and p is not None and v not in partner and p not in partner:
+                accepted.setdefault(p, v)
+        for p, v in accepted.items():
+            partner[p] = v
+            partner[v] = p
+    # Star partition: unmatched nodes attach to their smallest matched
+    # neighbour; a matched pair is led by an endpoint that drew an
+    # attachment, else by its smaller id.
+    attach: Dict[Any, Any] = {}
+    for v in nodes:
+        if neighbors[v] and v not in partner:
+            candidates = [u for u in neighbors[v] if u in partner]
+            if not candidates:  # pragma: no cover - maximality guarantees
+                raise RuntimeError(f"unmatched node {v} has no matched neighbour")
+            attach[v] = min(candidates)
+    attracted = set(attach.values())
+    dominator: Dict[Any, Any] = {}
+    in_dominating_set: Dict[Any, bool] = {}
+    for v in nodes:
+        if not neighbors[v]:
+            center = v
+        elif v in attach:
+            center = attach[v]
+        elif v in attracted:
+            center = v
+        elif partner[v] in attracted:
+            center = partner[v]
+        else:
+            center = min(v, partner[v])
+        dominator[v] = center
+        in_dominating_set[v] = center == v
+    return dominator, in_dominating_set, steps + _ROUNDS_AFTER_CV
 
 
 def small_dom_set(

@@ -286,8 +286,9 @@ def measure_observability(
     is about.  ``observed_seconds`` adds a
     :class:`~repro.obs.CountingSubscriber`, the cheapest real consumer,
     so the ratio bounds the event stream's dispatch cost from below.
-    Bare runs skip the engine for SimpleMST and observed runs simulate
-    it, so the ``fast_mst``/``sweep_kdom`` ratios (not gated) include it.
+    Bare runs skip the engine for SimpleMST and BalancedDOM and observed
+    runs simulate them, so the ``fastdom_tree``/``fast_mst``/``sweep_kdom``
+    ratios (not gated) include both stages.
     """
     from .obs import CountingSubscriber, observe
 

@@ -43,7 +43,6 @@ from .kernels import (
 from .forest import (
     balanced_rows,
     cluster_arrays,
-    dense_balanced_on_forest,
     dense_cluster_domination,
     dense_kdom_dp_run,
     dense_wave_run,
@@ -62,7 +61,6 @@ __all__ = [
     "cache_clear",
     "cluster_arrays",
     "csr_adjacency",
-    "dense_balanced_on_forest",
     "dense_bfs_tree",
     "dense_cluster_domination",
     "dense_convergecast",

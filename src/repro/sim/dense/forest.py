@@ -21,7 +21,7 @@ Three groups of kernels, mirroring the reference drivers:
   neighbours — exactly ``sorted(offers)[0]`` in the reference — and
   everything halts at round ``k`` off the wakeup schedule.
 
-* **Balanced stage** (:func:`dense_balanced_on_forest`) — the
+* **Balanced stage** (:func:`balanced_rows`) — the
   ruling-set rounds of ``Small-Dom-Set`` on the *contracted* forest
   (Cole–Vishkin six-colouring, shift-down to three colours, the
   three-phase maximal matching, and the star partition), as whole-array
@@ -467,38 +467,16 @@ def _bit_index(low: Any) -> Any:
     return np.log2(low.astype(np.float64)).astype(np.int64)
 
 
-def dense_balanced_on_forest(
-    tops: List[Any],
-    contracted_parents: Dict[Any, Optional[Any]],
-    id_bound: int,
-) -> Tuple[Dict[Any, Any], int]:
-    """``Small-Dom-Set`` on a contracted forest, as array rounds.
-
-    ``tops`` must be ascending (``ContractedGraph.nodes`` order);
-    ``contracted_parents`` maps each top to its parent top or ``None``.
-    Returns ``(center map, virtual round count)`` — byte-identical to
-    ``run_balanced_dom_on_forest``'s ``output_field("dominator")`` and
-    the virtual network's ``metrics.rounds``.
-    """
-    n = len(tops)
-    ids = np.asarray(tops, dtype=np.int64)
-    index = {v: i for i, v in enumerate(tops)}
-    parent = np.full(n, -1, dtype=np.int64)
-    for i, v in enumerate(tops):
-        p = contracted_parents.get(v)
-        if p is not None:
-            parent[i] = index[p]
-    dominator, rounds = balanced_rows(ids, parent, id_bound)
-    center_map = dict(zip(tops, dominator.tolist()))
-    return center_map, rounds
-
-
 def balanced_rows(
     ids: Any, parent: Any, id_bound: int
 ) -> Tuple[Any, int]:
-    """Array core of :func:`dense_balanced_on_forest`: ascending int64
-    ``ids``, ``parent`` as position indices (−1 = root).  Returns the
-    dominator *id* per position and the virtual round count."""
+    """``Small-Dom-Set`` on a contracted forest, as array rounds.
+
+    ``ids`` are the tops as ascending int64 (``ContractedGraph.nodes``
+    order), ``parent`` their parent positions (−1 = root).  Returns the
+    dominator *id* per position and the virtual round count — the same
+    as :func:`repro.core.small_dom_set.direct_small_dom_set`'s
+    ``dominator`` output and round count."""
     n = ids.shape[0]
     nr_rows = np.flatnonzero(parent >= 0)
     pidx = parent[nr_rows]

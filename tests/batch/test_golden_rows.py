@@ -2,8 +2,9 @@
 
 CI's ``cmp`` steps compare two runs of one commit, so a change that
 alters every row the same way passes them.  This file pins the
-``canonical_line`` of a fixed set of ``kdom`` and ``mst`` cells — the
-``--fast`` grids and the perfbench sweep specs — against a recording.
+``canonical_line`` of a fixed set of ``kdom``, ``mst`` and ``partition``
+cells — the ``--fast`` grids, the perfbench sweep specs and perfbench
+serve's ``partition`` cells — against a recording.
 
 Regenerate only after a deliberate row change::
 
@@ -27,6 +28,10 @@ PERFBENCH_SWEEP = (
     ("mst", "random:n=80,p=0.06"),
 )
 
+#: The perfbench ``serve`` workload's ``partition`` specs and ks.
+PERFBENCH_SERVE_PARTITION = ("tree:n=16", "tree:n=24", "tree:n=32")
+PERFBENCH_SERVE_KS = (2, 3, 4)
+
 
 def golden_cells():
     cells = fast_grid("kdom").cells() + fast_grid("mst").cells()
@@ -35,6 +40,13 @@ def golden_cells():
         for workload, spec in PERFBENCH_SWEEP
         for k in (2, 8)
     ]
+    cells += [
+        SweepCell("partition", spec, seed, k)
+        for spec in PERFBENCH_SERVE_PARTITION
+        for seed in (0, 1)
+        for k in PERFBENCH_SERVE_KS
+    ]
+    cells += [SweepCell("partition", "tree:n=80", 0, k) for k in (2, 8)]
     return cells
 
 

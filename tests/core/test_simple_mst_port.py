@@ -152,6 +152,7 @@ def test_sweep_cells_leave_numpy_unimported():
         "from repro.batch import SweepCell, run_cell\n"
         "run_cell(SweepCell('kdom', 'random:n=24,p=0.15', 0, 2))\n"
         "run_cell(SweepCell('mst', 'random:n=24,p=0.15', 0, 2))\n"
+        "run_cell(SweepCell('partition', 'tree:n=24', 0, 2))\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ)

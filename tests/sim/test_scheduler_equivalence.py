@@ -10,10 +10,13 @@ repository — the primitives, the converted scripted programs
 (``FastDOM_T``), and runs under fault injection.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.fastdom_tree import fastdom_tree
 from repro.core.kdom_tree import NearestDominatorProgram, TreeKDomProgram
+from repro.core.small_dom_set import SmallDomSetProgram
 from repro.core.spanning_forest import SimpleMSTProgram, simple_mst_forest
 from repro.graphs import (
     RootedTree,
@@ -155,12 +158,20 @@ class TestScriptedProgramsEquivalent:
 
 
 class TestCompositeDriverEquivalent:
-    def test_fastdom_tree(self, monkeypatch):
+    @staticmethod
+    def fastdom_runs(monkeypatch, observed):
         tree, parent = rooted(70, seed=2)
         runs = {}
         for scheduling in ("full", "active"):
             monkeypatch.setattr(Network, "default_scheduling", scheduling)
-            dominators, partition, staged = fastdom_tree(tree, 0, parent, 3)
+            with observe() if observed else nullcontext() as obs:
+                dominators, partition, staged = fastdom_tree(tree, 0, parent, 3)
+            if observed:
+                assert any(
+                    isinstance(program, SmallDomSetProgram)
+                    for network in obs._networks
+                    for program in network.programs.values()
+                )
             runs[scheduling] = (
                 sorted(dominators, key=str),
                 sorted(
@@ -170,7 +181,18 @@ class TestCompositeDriverEquivalent:
                 staged.total_rounds,
                 staged.total_messages,
             )
+        return runs
+
+    def test_fastdom_tree(self, monkeypatch):
+        runs = self.fastdom_runs(monkeypatch, observed=False)
         assert runs["active"] == runs["full"]
+
+    def test_fastdom_tree_observed(self, monkeypatch):
+        # Unobserved, BalancedDOM skips the engine; observed, it runs
+        # SmallDomSetProgram under the patched scheduler.
+        runs = self.fastdom_runs(monkeypatch, observed=True)
+        assert runs["active"] == runs["full"]
+        assert runs["full"] == self.fastdom_runs(monkeypatch, observed=False)["full"]
 
 
 class TestEquivalenceUnderFaults:
