@@ -40,8 +40,10 @@ def fastdom_graph(
     (k-dominating set, radius-<=k partition, per-stage rounds).
     ``backend`` is forwarded to the per-fragment :func:`fastdom_tree`
     runs (``"dense"`` vectorizes them; see that driver's fallback
-    rules); SimpleMST skips the engine unless observed (see
-    :func:`~repro.core.spanning_forest.simple_mst_forest`).
+    rules).  Unless observed, SimpleMST (see
+    :func:`~repro.core.spanning_forest.simple_mst_forest`) and
+    FastDOM_T's BalancedDOM skip the engine, and on the inline backend
+    so do FastDOM_T's cluster stages.
     """
     from ..graphs.validation import is_connected
 

@@ -30,10 +30,15 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.partition import Partition
+from ..obs.session import current_observation
 from ..sim.network import Network
 from ..sim.runner import StagedRun, run_in_parallel
 from .diam_dom import DiamDOMProgram
-from .kdom_tree import NearestDominatorProgram, TreeKDomProgram
+from .kdom_tree import (
+    NearestDominatorProgram,
+    TreeKDomProgram,
+    direct_cluster_kdom,
+)
 from .partition_fast import dom_partition
 
 METHODS = ("kdom-dp", "diamdom")
@@ -66,6 +71,14 @@ def fastdom_tree(
     and ship to workers as specs, not pickled networks
     (:mod:`repro.batch.dispatch`).
 
+    Unobserved on ``backend="inline"`` with ``method="kdom-dp"``, the
+    two per-cluster stages skip the engine:
+    :func:`~repro.core.kdom_tree.direct_cluster_kdom` computes the DP
+    and the wave with the engine's outputs and exact metrics.  Observed
+    runs, ``backend="process"``, ``method="diamdom"`` and clusters
+    outside that function's contract run the per-cluster programs on
+    the engine, which raises its own errors.
+
     ``backend="dense"`` runs the whole pipeline as numpy array rounds
     (:mod:`repro.sim.dense.forest`): the partition's BalancedDOM stages,
     all per-cluster DP runs as one forest-wide kernel, and the
@@ -84,7 +97,6 @@ def fastdom_tree(
         return dominators, partition, StagedRun()
 
     if backend == "dense":
-        from ..obs.session import current_observation
         from ..sim.dense import require_numpy
 
         require_numpy()
@@ -120,13 +132,23 @@ def _fastdom_tree_staged(
 ) -> Tuple[Set[Any], Partition, StagedRun]:
     clusters_partition, staged = dom_partition(tree, root, t_parent, k)
 
-    dominators: Set[Any] = set()
-    center_map: Dict[Any, Any] = {}
+    if (
+        backend == "inline"
+        and method == "kdom-dp"
+        and current_observation() is None
+    ):
+        direct = direct_cluster_kdom(tree, t_parent, clusters_partition, k)
+        if direct is not None:
+            cluster_sets, dom_metrics, assignments, wave_metrics = direct
+            staged.record("cluster-domination", dom_metrics)
+            dominators = _union_of_cluster_sets(clusters_partition, cluster_sets)
+            staged.record("cluster-partition", wave_metrics)
+            return dominators, _partition_of(assignments, k), staged
 
     # Per-cluster runs are vertex-disjoint, hence truly parallel; rounds
     # are the maximum over clusters (run_in_parallel semantics).
     dom_runs = []
-    cluster_info = []
+    subgraphs = []
     for cluster in clusters_partition:
         sub = tree.subgraph(cluster.members)
         sub_parent = {
@@ -140,37 +162,43 @@ def _fastdom_tree_staged(
         else:
             factory = _diamdom_factory(sub_root, k)
         dom_runs.append((network, factory))
-        cluster_info.append((cluster, sub, sub_parent, sub_root))
+        subgraphs.append(sub)
     networks, combined = run_in_parallel(
         dom_runs, backend=backend, workers=workers, pool=pool
     )
     staged.record("cluster-domination", combined)
 
-    wave_runs = []
-    for network, (cluster, sub, _sub_parent, _sub_root) in zip(
-        networks, cluster_info
-    ):
-        flags = network.output_field("in_dominating_set")
-        cluster_dominators = {v for v, flag in flags.items() if flag}
+    cluster_sets = [
+        {v for v, flag in network.output_field("in_dominating_set").items() if flag}
+        for network in networks
+    ]
+    dominators = _union_of_cluster_sets(clusters_partition, cluster_sets)
+    wave_runs = [
+        (Network(sub), _wave_factory(cluster_dominators, k))
+        for sub, cluster_dominators in zip(subgraphs, cluster_sets)
+    ]
+    wave_networks, wave_combined = run_in_parallel(
+        wave_runs, backend=backend, workers=workers, pool=pool
+    )
+    staged.record("cluster-partition", wave_combined)
+    assignments = [network.output_field("dominator") for network in wave_networks]
+    return dominators, _partition_of(assignments, k), staged
+
+
+def _union_of_cluster_sets(clusters, cluster_sets) -> Set[Any]:
+    dominators: Set[Any] = set()
+    for cluster, cluster_dominators in zip(clusters, cluster_sets):
         if not cluster_dominators:
             raise RuntimeError(
                 f"cluster {cluster.center} produced an empty dominating set"
             )
         dominators |= cluster_dominators
-        wave_network = Network(sub)
-        wave_runs.append(
-            (
-                wave_network,
-                _wave_factory(cluster_dominators, k),
-            )
-        )
-    wave_networks, wave_combined = run_in_parallel(
-        wave_runs, backend=backend, workers=workers, pool=pool
-    )
-    staged.record("cluster-partition", wave_combined)
+    return dominators
 
-    for wave_network, (cluster, _sub, _p, _r) in zip(wave_networks, cluster_info):
-        assignment = wave_network.output_field("dominator")
+
+def _partition_of(assignments, k: int) -> Partition:
+    center_map: Dict[Any, Any] = {}
+    for assignment in assignments:
         for v, dom in assignment.items():
             if dom is None:
                 raise RuntimeError(
@@ -179,7 +207,7 @@ def _fastdom_tree_staged(
                     f"(reproduction note R1 applies to method='diamdom')"
                 )
             center_map[v] = dom
-    return dominators, Partition.from_center_map(center_map), staged
+    return Partition.from_center_map(center_map)
 
 
 def _fastdom_tree_dense(

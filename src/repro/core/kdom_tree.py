@@ -15,16 +15,25 @@ spends running ``DiamDOM`` inside a cluster.
 
 Message contents are ``O(log k)`` bits: the DP state is a pair of
 distances capped at ``k + 1``.
+
+FastDOM_T runs both programs inside every DOM_Partition cluster.
+Unobserved, it takes :func:`direct_cluster_kdom` instead, which applies
+the DP and the wave to per-node state and tallies each message at the
+round and size the programs send it.  The programs on the engine stay
+the reference (tests/core/test_tree_kdom_port.py) and the only route
+emitting events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
-from ..graphs.partition import Partition
-from ..sim.model import Envelope
-from ..sim.network import Network
+from ..graphs.partition import Cluster, Partition
+from ..sim.errors import RoundLimitExceeded, UnserializablePayload
+from ..sim.metrics import RunMetrics
+from ..sim.model import DEFAULT_WORD_LIMIT, Envelope, MessageStats, measure_words
+from ..sim.network import DEFAULT_MAX_ROUNDS, Network
 from ..sim.program import Context, NodeProgram, ScriptedProgram
 from ..sim.runner import StagedRun
 from .existence import _require_k
@@ -149,6 +158,135 @@ class NearestDominatorProgram(ScriptedProgram):
                         self.broadcast("DOM", self.dominator, distance + 1)
         self.output["dominator"] = self.dominator
         self.output["dominator_distance"] = self.dominator_distance
+
+
+def direct_cluster_kdom(
+    tree: Graph,
+    t_parent: Dict[Any, Optional[Any]],
+    clusters: Iterable[Cluster],
+    k: int,
+) -> Optional[
+    Tuple[List[Set[Any]], RunMetrics, List[Dict[Any, Optional[Any]]], RunMetrics]
+]:
+    """:class:`TreeKDomProgram`, then :class:`NearestDominatorProgram`,
+    in every cluster, computed without the engine.
+
+    Each cluster's programs would run on the subgraph of ``tree``
+    induced by its members, rooted at the one member whose ``t_parent``
+    lies outside it.  Returns, per cluster in order, the DP's dominator
+    set and the wave's ``dominator`` map, both built in ascending node
+    order as the engine lists outputs; and per stage the
+    :meth:`RunMetrics.merge` of the cluster runs.  Returns None when a
+    cluster's in-cluster parent map is not a tree over ``tree``'s edges
+    rooted at one member, or a dominator's id does not fit a ``DOM``
+    message: the engine's run fails there, and the caller runs it to
+    raise that error.
+    """
+    _require_k(k)
+    cap = k + 1
+    dp_runs: List[RunMetrics] = []
+    wave_runs: List[RunMetrics] = []
+    cluster_sets: List[Set[Any]] = []
+    assignments: List[Dict[Any, Optional[Any]]] = []
+    for cluster in clusters:
+        members = cluster.members
+        nodes = sorted(members)
+        parent: Dict[Any, Any] = {}
+        children: Dict[Any, List[Any]] = {v: [] for v in nodes}
+        order = []  # the root, then breadth-first over children
+        for v in nodes:
+            p = t_parent.get(v)
+            if p in members:
+                if not tree.has_edge(v, p):
+                    return None
+                parent[v] = p
+                children[p].append(v)
+            else:
+                order.append(v)
+        if len(order) != 1:
+            return None
+        for v in order:
+            order.extend(children[v])
+        if len(order) != len(nodes):
+            return None  # a parent cycle the root never reaches
+
+        # DP: a node fires at the round equal to its height, once every
+        # child's (uncov, cov) state has arrived, and sends its own up.
+        uncov = dict.fromkeys(nodes, 0)
+        cov = dict.fromkeys(nodes, cap)
+        height = dict.fromkeys(nodes, 0)
+        flagged = dict.fromkeys(nodes, False)
+        for v in reversed(order):
+            a, b = uncov[v], cov[v]
+            if a + b <= k:
+                a = NO_UNCOVERED
+            elif a >= k:
+                flagged[v] = True
+                a, b = NO_UNCOVERED, 0
+            p = parent.get(v)
+            if p is None:
+                flagged[v] = flagged[v] or a != NO_UNCOVERED
+                continue
+            if a != NO_UNCOVERED and a + 1 > uncov[p]:
+                uncov[p] = a + 1
+            if b + 1 < cov[p]:
+                cov[p] = b + 1
+            if height[v] + 1 > height[p]:
+                height[p] = height[v] + 1
+        sends: Dict[int, int] = {}
+        for v in order[1:]:
+            sends[height[v]] = sends.get(height[v], 0) + 1
+        dp_traffic = MessageStats(
+            len(nodes) - 1,
+            3 * (len(nodes) - 1),
+            3 if len(nodes) > 1 else 0,
+            {r: sends[r] for r in sorted(sends)},
+        )
+        dp_runs.append(
+            RunMetrics(height[order[0]], dp_traffic, True, len(nodes))
+        )
+        dominators = {v for v in nodes if flagged[v]}
+        cluster_sets.append(dominators)
+
+        # Wave: a node first reached at distance d < k adopts the
+        # smallest dominator its distance-(d-1) neighbours offer, then
+        # offers it to every neighbour at round d; all halt at round k.
+        words = {}
+        for d in dominators:
+            try:
+                words[d] = measure_words(("DOM", d, 1))
+            except UnserializablePayload:
+                return None
+            if words[d] > DEFAULT_WORD_LIMIT:
+                return None
+        neighbors = {v: [u for u in tree.neighbors(v) if u in members] for v in nodes}
+        dominator = {d: d for d in dominators}
+        frontier = list(dominators)
+        wave_traffic = MessageStats()
+        for distance in range(k):
+            offers: Dict[Any, Any] = {}
+            sent = 0
+            for u in frontier:
+                offer, targets = dominator[u], neighbors[u]
+                if targets:
+                    sent += len(targets)
+                    wave_traffic.total_words += len(targets) * words[offer]
+                    wave_traffic.max_words = max(wave_traffic.max_words, words[offer])
+                for x in targets:
+                    if x not in dominator and (x not in offers or offer < offers[x]):
+                        offers[x] = offer
+            if not sent:
+                break
+            wave_traffic.messages += sent
+            wave_traffic.per_round[distance] = sent
+            dominator.update(offers)
+            frontier = list(offers)
+        wave_runs.append(RunMetrics(k, wave_traffic, True, len(nodes)))
+        assignments.append({v: dominator.get(v) for v in nodes})
+    dp_metrics = RunMetrics.merge(dp_runs)
+    if max(dp_metrics.rounds, k) > DEFAULT_MAX_ROUNDS:
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
+    return cluster_sets, dp_metrics, assignments, RunMetrics.merge(wave_runs)
 
 
 def tree_kdominating_set(

@@ -466,12 +466,20 @@ def fragment_trees(
 ) -> Iterator[Tuple[Set[Any], Graph, Any, Dict[Any, Optional[Any]]]]:
     """Yield ``(fragment, tree, root, parent map)`` for each fragment of a
     :func:`simple_mst_forest` result: the fragment's tree edges as a
-    subgraph of ``graph``, rooted at its str-least parentless node."""
+    subgraph of ``graph``, rooted at its str-least parentless node.
+
+    Nodes are added in ``set(fragment)`` order and edges in parent-map
+    order, the order ``graph.subgraph(fragment).edge_subgraph(...)``
+    gives, without that call's walk over all of ``graph``'s edges."""
     for fragment in fragments:
         fragment_parent = {v: parents[v] for v in fragment}
         root = min((v for v in fragment if parents[v] is None), key=str)
-        tree_edges = [(v, p) for v, p in fragment_parent.items() if p is not None]
-        tree = graph.subgraph(fragment).edge_subgraph(tree_edges)
+        tree = Graph()
+        for v in set(fragment):
+            tree.add_node(v)
+        for v, p in fragment_parent.items():
+            if p is not None:
+                tree.add_edge(v, p, graph.weight(v, p))
         yield fragment, tree, root, fragment_parent
 
 

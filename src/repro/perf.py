@@ -98,11 +98,16 @@ DEFAULT_GATE_FACTOR = 2.0
 #: baseline best (which was recorded on the same class of machine).
 OBS_GATE_FACTOR = 1.05
 
-#: The dense backend must beat the reference engine by at least this
-#: factor on the ``dense_speedup`` measurement (FastDOM_T, n=10^4).
-#: Measured headroom is ~3x above the floor, so the gate survives
-#: machine variance while still catching a de-vectorized code path.
-DENSE_SPEEDUP_FLOOR = 10.0
+#: The dense backend must beat the default inline route by at least
+#: this factor on the ``dense_speedup`` measurement (FastDOM_T, n=10^4).
+#: Unobserved, that route runs FastDOM_T without the event engine:
+#: BalancedDOM and both cluster stages are pure-Python ports, so the
+#: reference side is no longer a simulation.  The ratio read 3.2-4.5x
+#: on a 2-vCPU host, 1.6-2.25x above the floor.  A dense path that falls
+#: back to the inline route (~1.1x) fails; a dense path made twice as
+#: slow (2.2-3.2x there) can pass, so this floor guards against the
+#: fallback and slowdowns beyond ~2.3x.
+DENSE_SPEEDUP_FLOOR = 2.0
 
 #: Warm-cache serve throughput may fall to 1/this of the committed
 #: baseline before the ``serve_qps`` gate fails — same tolerance shape
@@ -286,9 +291,10 @@ def measure_observability(
     is about.  ``observed_seconds`` adds a
     :class:`~repro.obs.CountingSubscriber`, the cheapest real consumer,
     so the ratio bounds the event stream's dispatch cost from below.
-    Bare runs skip the engine for SimpleMST and BalancedDOM and observed
-    runs simulate them, so the ``fastdom_tree``/``fast_mst``/``sweep_kdom``
-    ratios (not gated) include both stages.
+    Bare runs skip the engine for SimpleMST, BalancedDOM and FastDOM_T's
+    two cluster stages, and observed runs simulate them, so the
+    ``fastdom_tree``/``fast_mst``/``sweep_kdom`` ratios (not gated)
+    include those stages.
     """
     from .obs import CountingSubscriber, observe
 
@@ -451,11 +457,11 @@ def measure_dense_speedup(
     ``"dense_speedup"`` report section.
 
     This is the head-to-head number behind the dense backend: the same
-    10^4-node random tree, the same k, reference event engine versus
-    array rounds, one rep each (the reference side is seconds-scale, so
-    best-of-N would triple the suite for a digit that doesn't move).
-    The gate in :func:`main` requires ``speedup >=``
-    :data:`DENSE_SPEEDUP_FLOOR`.
+    10^4-node random tree, the same k, the default inline route versus
+    array rounds, one rep each.  Unobserved, the inline route skips the
+    event engine for BalancedDOM and both cluster stages, so this
+    compares the pure-Python ports with the numpy kernels.  The gate in
+    :func:`main` requires ``speedup >=`` :data:`DENSE_SPEEDUP_FLOOR`.
     """
     from .sim.dense import HAVE_NUMPY
 

@@ -4,7 +4,13 @@ CI's ``cmp`` steps compare two runs of one commit, so a change that
 alters every row the same way passes them.  This file pins the
 ``canonical_line`` of a fixed set of ``kdom``, ``mst`` and ``partition``
 cells — the ``--fast`` grids, the perfbench sweep specs and perfbench
-serve's ``partition`` cells — against a recording.
+serve's ``partition`` and ``kdom`` cells — against a recording.
+
+A ``kdom`` row pins FastDOM_G's ``dominators``, ``clusters``, ``rounds``
+and per-stage ``breakdown``.  Its ``metrics`` block covers only the
+SimpleMST stage (the later stages are added by round count), so the
+rows do not pin the traffic of FastDOM_T's cluster stages;
+tests/core/test_tree_kdom_port.py compares those metrics directly.
 
 Regenerate only after a deliberate row change::
 
@@ -31,6 +37,11 @@ PERFBENCH_SWEEP = (
 #: The perfbench ``serve`` workload's ``partition`` specs and ks.
 PERFBENCH_SERVE_PARTITION = ("tree:n=16", "tree:n=24", "tree:n=32")
 PERFBENCH_SERVE_KS = (2, 3, 4)
+#: Its ``kdom`` specs: the partition trees plus two random graphs.
+PERFBENCH_SERVE_KDOM = PERFBENCH_SERVE_PARTITION + (
+    "random:n=16,p=0.2",
+    "random:n=24,p=0.15",
+)
 
 
 def golden_cells():
@@ -47,6 +58,13 @@ def golden_cells():
         for k in PERFBENCH_SERVE_KS
     ]
     cells += [SweepCell("partition", "tree:n=80", 0, k) for k in (2, 8)]
+    cells += [
+        SweepCell("kdom", spec, seed, k)
+        for spec in PERFBENCH_SERVE_KDOM
+        for seed in (0, 1)
+        for k in PERFBENCH_SERVE_KS
+    ]
+    cells += [SweepCell("kdom", "random:n=120,p=0.04", 0, k) for k in (1, 13)]
     return cells
 
 

@@ -20,6 +20,7 @@ from repro.batch.cache import GraphCache
 from repro.core.spanning_forest import (
     SimpleMSTProgram,
     _components_from_parents,
+    fragment_trees,
     simple_mst_forest,
 )
 from repro.graphs import Graph, assign_unique_weights, random_connected_graph
@@ -69,6 +70,29 @@ def test_perfbench_graphs(spec):
         graph = cache.get(spec, seed, weighted=True)
         for k in (0, 1, 2, 3, 4, 8, 9, 20):
             assert_matches_engine(graph, k)
+
+
+@pytest.mark.parametrize("spec", PERFBENCH_SPECS)
+def test_fragment_trees_match_the_induced_construction(spec):
+    # fragment_trees builds each tree directly; it must keep the node
+    # and adjacency order of the subgraph/edge_subgraph pair it replaced.
+    cache = GraphCache()
+    for seed in range(4):
+        graph = cache.get(spec, seed, weighted=True)
+        for k in (1, 2, 4, 8, 13):
+            parents, fragments, _network = simple_mst_forest(graph, k)
+            for fragment, tree, _root, fragment_parent in fragment_trees(
+                graph, parents, fragments
+            ):
+                old = graph.subgraph(fragment).edge_subgraph(
+                    (v, p) for v, p in fragment_parent.items() if p is not None
+                )
+                assert tree.nodes == old.nodes
+                for v in old.nodes:
+                    assert tree.neighbors(v) == old.neighbors(v)
+                    for u in old.neighbors(v):
+                        assert tree.weight(v, u) == old.weight(v, u)
+                assert tree.provenance is old.provenance is None
 
 
 @settings(max_examples=40, deadline=None)

@@ -167,11 +167,16 @@ class TestCompositeDriverEquivalent:
             with observe() if observed else nullcontext() as obs:
                 dominators, partition, staged = fastdom_tree(tree, 0, parent, 3)
             if observed:
-                assert any(
-                    isinstance(program, SmallDomSetProgram)
+                ran = {
+                    type(program)
                     for network in obs._networks
                     for program in network.programs.values()
-                )
+                }
+                assert {
+                    SmallDomSetProgram,
+                    TreeKDomProgram,
+                    NearestDominatorProgram,
+                } <= ran
             runs[scheduling] = (
                 sorted(dominators, key=str),
                 sorted(
@@ -188,8 +193,9 @@ class TestCompositeDriverEquivalent:
         assert runs["active"] == runs["full"]
 
     def test_fastdom_tree_observed(self, monkeypatch):
-        # Unobserved, BalancedDOM skips the engine; observed, it runs
-        # SmallDomSetProgram under the patched scheduler.
+        # Unobserved, BalancedDOM and the cluster stages skip the engine;
+        # observed, SmallDomSetProgram, TreeKDomProgram and
+        # NearestDominatorProgram run under the patched scheduler.
         runs = self.fastdom_runs(monkeypatch, observed=True)
         assert runs["active"] == runs["full"]
         assert runs["full"] == self.fastdom_runs(monkeypatch, observed=False)["full"]
