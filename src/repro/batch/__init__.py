@@ -1,12 +1,10 @@
 """Process-parallel batch execution: pools, caches, sweeps, stores.
 
-The scaling layer the ROADMAP calls for: a persistent
-:class:`SharedPool` process backend for
-:func:`repro.sim.run_in_parallel` (vertex-disjoint cluster runs on
-separate cores, tasks shipped as graph-rebuild specs), a decorator
-registry of sweep workloads, and a sharded sweep runner that fans a
-(graph-spec × seed × k) grid across workers — or across hosts via
-``--shard i/N`` plus :func:`merge_stores` — with graph-generation
+The scaling layer parallelises across independent cells, not inside
+one run: a persistent :class:`SharedPool` of worker processes, a
+decorator registry of sweep workloads, and a sharded sweep runner that
+fans a (graph-spec × seed × k) grid across workers — or across hosts
+via ``--shard i/N`` plus :func:`merge_stores` — with graph-generation
 caching and a checkpoint/resume JSONL result store.  See
 docs/performance.md ("Batch execution and sweeps").
 
@@ -20,7 +18,6 @@ and the whole story is drilled deterministically by
 
 from .cache import GraphCache
 from .chaos import ChaosAction, ChaosPlan, ChaosReport, run_chaos
-from .dispatch import NetworkSpec, network_spec, task_pickle_bytes
 from .pool import (
     PoolCrashError,
     SharedPool,
@@ -28,7 +25,6 @@ from .pool import (
     imap_completion_order,
     map_submission_order,
     resolve_workers,
-    run_networks_in_pool,
 )
 from .registry import (
     Workload,
@@ -94,7 +90,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosReport",
     "GraphCache",
-    "NetworkSpec",
     "PORTFOLIO_SCHEMA",
     "PoolCrashError",
     "PortfolioError",
@@ -127,7 +122,6 @@ __all__ = [
     "imap_completion_order",
     "map_submission_order",
     "merge_stores",
-    "network_spec",
     "parse_shard",
     "portfolio_run",
     "portfolio_verdict",
@@ -141,13 +135,11 @@ __all__ = [
     "resolve_workers",
     "run_cell",
     "run_chaos",
-    "run_networks_in_pool",
     "run_sweep",
     "shard_cells",
     "status_path_for",
     "store_telemetry",
     "strip_telemetry",
-    "task_pickle_bytes",
     "verdict_json",
     "verdict_path_for",
     "workload_names",

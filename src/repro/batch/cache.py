@@ -5,7 +5,7 @@ Fast-MST) is a function of one generated graph, and sweep grids repeat
 the same (spec, seed) pair across every value of ``k``.  Generation —
 especially ``random:`` connectivity retries and the distinct-weight
 assignment — is a real fraction of small-cell runtime, so the cache
-generates each (spec, seed, weight seed) combination once and hands
+generates each (spec, seed, weighted) combination once and hands
 the same object to every later cell.
 
 Cached graphs are therefore **shared and must be treated read-only**
@@ -19,10 +19,10 @@ Views derived from a graph (the dense backend's CSR adjacency) are
 weak-keyed on the graph object, so they go when their graph goes and
 this one bound covers them too.
 
-Each pool worker holds exactly one cache (:func:`worker_graph_cache`),
-shared by sweep cells (:mod:`repro.batch.sweep`) and spec-dispatched
-runs (:mod:`repro.batch.dispatch`), so repeated cells never regenerate
-within a worker and workers never contend on shared state.
+Each process holds exactly one cache (:func:`worker_graph_cache`),
+shared by every sweep or serve cell it runs (:mod:`repro.batch.sweep`),
+so repeated cells never regenerate within a worker and workers never
+contend on shared state.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ NODE_BUDGET = 1 << 18
 
 
 class GraphCache:
-    """Memoized (spec, seed, weight seed) -> graph generation, LRU."""
+    """Memoized (spec, seed, weighted) -> graph generation, LRU."""
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[Tuple[str, int, Optional[int]], Graph]" = (
+        self._entries: "OrderedDict[Tuple[str, int, bool], Graph]" = (
             OrderedDict()
         )
         #: Total nodes of the cached graphs (bounded by NODE_BUDGET).
@@ -61,20 +61,14 @@ class GraphCache:
         spec: str,
         seed: int,
         weighted: bool = False,
-        weight_seed: Optional[int] = None,
     ) -> Graph:
         """The graph for ``spec`` at ``seed``; generated on a miss.
 
         ``weighted=True`` additionally assigns distinct polynomial edge
         weights (seeded by the same ``seed``) unless the generator
-        already produced unique weights.  ``weight_seed`` decouples the
-        weight seed from the generation seed — the spec-dispatch replay
-        (:mod:`repro.batch.dispatch`) needs that, because a graph may
-        have been weighted with an unrelated seed.
+        already produced unique weights.
         """
-        if weight_seed is None and weighted:
-            weight_seed = int(seed)
-        key = (spec, int(seed), weight_seed)
+        key = (spec, int(seed), bool(weighted))
         graph = self._entries.get(key)
         if graph is not None:
             self._entries.move_to_end(key)
@@ -82,8 +76,8 @@ class GraphCache:
             return graph
         self.misses += 1
         graph = parse_graph_spec(spec, seed=seed)
-        if weight_seed is not None and not has_unique_weights(graph):
-            assign_unique_weights(graph, seed=weight_seed)
+        if weighted and not has_unique_weights(graph):
+            assign_unique_weights(graph, seed=int(seed))
         self._entries[key] = graph
         self.nodes += graph.num_nodes
         while self.nodes > NODE_BUDGET and len(self._entries) > 1:

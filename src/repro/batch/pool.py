@@ -1,17 +1,17 @@
 """Process-pool execution: the one place that touches ``multiprocessing``.
 
-Three consumers share this module:
+Its consumers parallelise across independent cells, never inside one
+run:
 
-* :func:`repro.sim.run_in_parallel` with ``backend="process"`` ships
-  runs (a :class:`~repro.batch.dispatch.NetworkSpec` recipe, or a whole
-  network as fallback) via :func:`run_networks_in_pool`;
 * the sweep runner (:mod:`repro.batch.sweep`) fans grid cells across
   workers via :func:`imap_completion_order`, consuming results as they
   finish so it can checkpoint them immediately;
+* ``repro serve`` hands each cache miss to one long-lived
+  :meth:`SharedPool.imap` call;
 * :func:`benchmarks.harness.sweep_map` maps experiment cells through
   :func:`map_submission_order`.
 
-All three routes run on a :class:`SharedPool`, the only place a
+Every route runs on a :class:`SharedPool`, the only place a
 ``multiprocessing`` pool is built.  When one is active (entered as a
 context manager, or passed explicitly) it persists across calls, so
 repeated fan-outs pay worker startup once and worker-side caches
@@ -29,7 +29,7 @@ inside the worker, so callers can always reassemble submission order
 regardless of completion order.  Everything that crosses the process
 boundary (task functions, items, results) must be picklable; task
 functions must be module-level (or picklable callables), which is why
-the sweep and runner keep theirs at module scope.
+the sweep keeps its own at module scope.
 
 **Fault tolerance** (docs/robustness.md): a worker that *dies* mid-task
 is detected by watching the pool's pid set; a worker that *hangs*
@@ -155,8 +155,7 @@ class TaskQuarantinedError(RuntimeError):
 
 
 #: Stack of entered SharedPools; the innermost is the ambient pool that
-#: pool-agnostic call sites (run_in_parallel, run_sweep, sweep_map)
-#: route through.
+#: pool-agnostic call sites (run_sweep, sweep_map) route through.
 _ACTIVE: List["SharedPool"] = []
 
 #: Seconds between liveness and deadline checks while tasks are in
@@ -253,7 +252,6 @@ class SharedPool:
         with SharedPool(workers=4) as pool:
             run_sweep(grid_a, backend="process")   # same 4 workers
             run_sweep(grid_b, backend="process")   # ...reused
-            fastdom_tree(tree, root, parent, k, backend="process")
 
     Entering the context makes the pool *ambient*: every
     ``backend="process"`` call inside the block routes through it
@@ -651,18 +649,27 @@ class SharedPool:
         """Map ``fn`` over ``items``; results in submission order, the
         first failing (or quarantined) item's exception re-raised."""
         items = list(items)
-        results: List[Any] = [None] * len(items)
-        failures: Dict[int, BaseException] = {}
-        for index, status, payload in self.imap(fn, items):
-            if status == "error":
-                failures[index] = payload
-            elif status == "quarantined":
-                failures[index] = TaskQuarantinedError(index, payload)
-            else:
-                results[index] = payload
-        if failures:
-            raise failures[min(failures)]
-        return results
+        return _in_submission_order(self.imap(fn, items), len(items))
+
+
+def _in_submission_order(
+    outcomes: Iterable[Tuple[int, str, Any]], count: int
+) -> List[Any]:
+    """The results of ``count`` tasks' ``(index, status, payload)``
+    outcomes in submission order; once all are in, the first failing
+    (or quarantined) task's exception is raised."""
+    results: List[Any] = [None] * count
+    failures: Dict[int, BaseException] = {}
+    for index, status, payload in outcomes:
+        if status == "error":
+            failures[index] = payload
+        elif status == "quarantined":
+            failures[index] = TaskQuarantinedError(index, payload)
+        else:
+            results[index] = payload
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -727,79 +734,6 @@ def map_submission_order(
         return [fn(item) for item in items]
     if backend != "process":
         raise ValueError(f"backend must be 'inline' or 'process', got {backend!r}")
-    results: List[Any] = [None] * len(items)
-    failures: Dict[int, BaseException] = {}
-    for index, status, payload in imap_completion_order(
-        fn, items, workers, pool=pool
-    ):
-        if status == "error":
-            failures[index] = payload
-        elif status == "quarantined":
-            failures[index] = TaskQuarantinedError(index, payload)
-        else:
-            results[index] = payload
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
-# ---------------------------------------------------------------------------
-# run_in_parallel's process backend
-# ---------------------------------------------------------------------------
-def run_networks_in_pool(
-    runs: List[Tuple[Any, Any]],
-    max_rounds: int,
-    workers: Optional[int] = None,
-    pool: Optional[SharedPool] = None,
-    deadline_s: Optional[float] = None,
-) -> Tuple[List[Any], Any]:
-    """Process backend for :func:`repro.sim.run_in_parallel`.
-
-    Each run ships as the smallest thing that reproduces it: a
-    :class:`~repro.batch.dispatch.NetworkSpec` recipe when the network
-    is recipe-expressible, the whole network otherwise (see
-    :mod:`repro.batch.dispatch`).  Workers send back the run result,
-    outputs and halt flags; the caller's network objects adopt them,
-    and metrics merge in submission order (deterministic regardless of
-    completion order).  On failure, completed runs are preserved and
-    re-raised as :class:`~repro.sim.runner.ParallelRunError`, matching
-    the inline backend's contract.  ``deadline_s`` arms the hung-worker
-    watchdog (quarantined runs surface as failures here — a lost
-    simulation run has no partial result worth keeping).
-    """
-    from ..sim.metrics import RunMetrics
-    from ..sim.runner import ParallelRunError
-    from .dispatch import parallel_task, run_parallel_task
-
-    tasks = [
-        parallel_task(network, factory, max_rounds)
-        for network, factory in runs
-    ]
-    outcomes: List[Optional[Tuple[Any, dict, dict]]] = [None] * len(tasks)
-    failures: Dict[int, BaseException] = {}
-    for index, status, payload in imap_completion_order(
-        run_parallel_task, tasks, workers, pool=pool, deadline_s=deadline_s
-    ):
-        if status == "error":
-            failures[index] = payload
-        elif status == "quarantined":
-            failures[index] = TaskQuarantinedError(index, payload)
-        else:
-            outcomes[index] = payload
-    networks: List[Any] = []
-    collected: List[RunMetrics] = []
-    for run, outcome in zip(runs, outcomes):
-        if outcome is None:  # the failed run (or one lost with it)
-            continue
-        network = run[0]
-        result, outputs, halted = outcome
-        metrics = getattr(result, "metrics", result)
-        network.adopt_results(metrics, outputs, halted)
-        networks.append(network)
-        collected.append(metrics)
-    if failures:
-        first = min(failures)
-        raise ParallelRunError(
-            first, networks, RunMetrics.merge(collected), failures[first]
-        ) from failures[first]
-    return networks, RunMetrics.merge(collected)
+    return _in_submission_order(
+        imap_completion_order(fn, items, workers, pool=pool), len(items)
+    )

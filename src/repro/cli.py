@@ -348,9 +348,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             _edges, staged, _diag = fast_mst(g)
         elif args.algo == "kdom":
             ensure_weights(g, args.seed)
-            backend = "dense" if args.backend == "dense" else "inline"
             _dominators, _partition, staged = fastdom_graph(
-                g, args.k, backend=backend
+                g, args.k, backend=args.backend
             )
         elif args.algo == "kdom-tree":
             from .core import tree_kdominating_set
@@ -1457,8 +1456,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--workload", action="append", default=None,
                         metavar="NAME",
                         help="run only this workload (repeatable); the "
-                             "spec-dispatch and dense-speedup sections "
-                             "are skipped when filtering")
+                             "dense-speedup and serve sections are "
+                             "skipped when filtering")
     p_perf.add_argument("--compare", default=None, metavar="OLD.json",
                         help="after the run, print a per-workload "
                              "speedup table against a previous report")

@@ -31,22 +31,23 @@ def fastdom_graph(
     graph: Graph,
     k: int,
     method: str = "kdom-dp",
-    backend: str = "inline",
+    backend: str = "reference",
 ) -> Tuple[Set[Any], Partition, StagedRun]:
     """Run ``FastDOM_G`` on a connected weighted graph.
 
     Edge weights must be distinct (the model assumption; use
     :func:`repro.graphs.assign_unique_weights`).  Returns
     (k-dominating set, radius-<=k partition, per-stage rounds).
-    ``backend`` is forwarded to the per-fragment :func:`fastdom_tree`
-    runs (``"dense"`` vectorizes them; see that driver's fallback
-    rules).  Unless observed, SimpleMST (see
+    ``backend`` (``"reference"`` or ``"dense"``) is forwarded to the
+    per-fragment :func:`fastdom_tree` runs (``"dense"`` vectorizes them;
+    see that driver's fallback rules).  Unless observed, SimpleMST (see
     :func:`~repro.core.spanning_forest.simple_mst_forest`) and
-    FastDOM_T's BalancedDOM skip the engine, and on the inline backend
-    so do FastDOM_T's cluster stages.
+    FastDOM_T's BalancedDOM and cluster stages skip the engine.
     """
     from ..graphs.validation import is_connected
 
+    if backend not in ("reference", "dense"):
+        raise ValueError(f"unknown backend {backend!r}")
     staged = StagedRun()
     n = graph.num_nodes
     if n == 0:

@@ -26,6 +26,7 @@ The per-cluster procedure is selectable:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
@@ -50,34 +51,22 @@ def fastdom_tree(
     t_parent: Dict[Any, Optional[Any]],
     k: int,
     method: str = "kdom-dp",
-    backend: str = "inline",
-    workers: Optional[int] = None,
-    pool: Optional[Any] = None,
+    backend: str = "reference",
 ) -> Tuple[Set[Any], Partition, StagedRun]:
     """Run ``FastDOM_T`` on a rooted tree with ``n >= k + 1`` nodes.
 
     Returns (k-dominating set D, the radius-<=k partition P around D,
     per-stage round accounting).
 
-    ``backend``/``workers`` select the execution backend for the
-    per-cluster parallel stages (see :func:`repro.sim.run_in_parallel`):
-    ``"process"`` really fans the vertex-disjoint clusters across
-    cores, with identical results and metrics.  Both stages (cluster
-    domination, then the nearest-dominator wave) run on *one* worker
-    pool: ``pool`` if given, the ambient entered
-    :class:`~repro.batch.pool.SharedPool` if any, else a pool opened
-    here for the duration of the call.  When ``tree`` was built by a
-    seeded generator, the cluster sub-networks carry rebuild provenance
-    and ship to workers as specs, not pickled networks
-    (:mod:`repro.batch.dispatch`).
-
-    Unobserved on ``backend="inline"`` with ``method="kdom-dp"``, the
-    two per-cluster stages skip the engine:
+    The per-cluster stages run every cluster on its own sub-network and
+    merge them with :func:`~repro.sim.runner.run_in_parallel` (rounds
+    are the maximum over clusters, traffic the sum).  Unobserved with
+    ``method="kdom-dp"``, they skip the engine:
     :func:`~repro.core.kdom_tree.direct_cluster_kdom` computes the DP
     and the wave with the engine's outputs and exact metrics.  Observed
-    runs, ``backend="process"``, ``method="diamdom"`` and clusters
-    outside that function's contract run the per-cluster programs on
-    the engine, which raises its own errors.
+    runs, ``method="diamdom"`` and clusters outside that function's
+    contract run the per-cluster programs on the engine, which raises
+    its own errors.
 
     ``backend="dense"`` runs the whole pipeline as numpy array rounds
     (:mod:`repro.sim.dense.forest`): the partition's BalancedDOM stages,
@@ -85,58 +74,30 @@ def fastdom_tree(
     nearest-dominator wave as k scatter-min rounds — identical
     dominators, partition, and stage accounting.  It applies to
     ``method="kdom-dp"`` without an active observation; otherwise the
-    call transparently degrades to ``"inline"`` (the event engine is
+    call transparently degrades to ``"reference"`` (the event engine is
     the only implementation of ``diamdom`` and of observed runs).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if backend not in ("reference", "dense"):
+        raise ValueError(f"unknown backend {backend!r}")
     if k == 0:
         # Degenerate: every node dominates itself.
         dominators = set(tree.nodes)
         partition = Partition.from_center_map({v: v for v in tree.nodes})
         return dominators, partition, StagedRun()
 
+    direct_route = method == "kdom-dp" and current_observation() is None
     if backend == "dense":
         from ..sim.dense import require_numpy
 
         require_numpy()
-        if method == "kdom-dp" and current_observation() is None:
+        if direct_route:
             return _fastdom_tree_dense(tree, root, t_parent, k)
-        backend = "inline"
 
-    own_pool = None
-    if backend == "process" and pool is None:
-        from ..batch.pool import SharedPool
-
-        pool = SharedPool.current()
-        if pool is None:
-            own_pool = pool = SharedPool(workers)
-    try:
-        return _fastdom_tree_staged(
-            tree, root, t_parent, k, method, backend, workers, pool
-        )
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-
-
-def _fastdom_tree_staged(
-    tree: Graph,
-    root: Any,
-    t_parent: Dict[Any, Optional[Any]],
-    k: int,
-    method: str,
-    backend: str,
-    workers: Optional[int],
-    pool: Optional[Any],
-) -> Tuple[Set[Any], Partition, StagedRun]:
     clusters_partition, staged = dom_partition(tree, root, t_parent, k)
 
-    if (
-        backend == "inline"
-        and method == "kdom-dp"
-        and current_observation() is None
-    ):
+    if direct_route:
         direct = direct_cluster_kdom(tree, t_parent, clusters_partition, k)
         if direct is not None:
             cluster_sets, dom_metrics, assignments, wave_metrics = direct
@@ -158,14 +119,14 @@ def _fastdom_tree_staged(
         sub_root = next(v for v, p in sub_parent.items() if p is None)
         network = Network(sub)
         if method == "kdom-dp":
-            factory = _dp_factory(sub_root, sub_parent, k)
+            factory = partial(
+                TreeKDomProgram, root=sub_root, parent_of=sub_parent, k=k
+            )
         else:
-            factory = _diamdom_factory(sub_root, k)
+            factory = partial(DiamDOMProgram, root=sub_root, k=k)
         dom_runs.append((network, factory))
         subgraphs.append(sub)
-    networks, combined = run_in_parallel(
-        dom_runs, backend=backend, workers=workers, pool=pool
-    )
+    networks, combined = run_in_parallel(dom_runs)
     staged.record("cluster-domination", combined)
 
     cluster_sets = [
@@ -174,15 +135,17 @@ def _fastdom_tree_staged(
     ]
     dominators = _union_of_cluster_sets(clusters_partition, cluster_sets)
     wave_runs = [
-        (Network(sub), _wave_factory(cluster_dominators, k))
+        (Network(sub), partial(_wave_program, dominators=cluster_dominators, k=k))
         for sub, cluster_dominators in zip(subgraphs, cluster_sets)
     ]
-    wave_networks, wave_combined = run_in_parallel(
-        wave_runs, backend=backend, workers=workers, pool=pool
-    )
+    wave_networks, wave_combined = run_in_parallel(wave_runs)
     staged.record("cluster-partition", wave_combined)
     assignments = [network.output_field("dominator") for network in wave_networks]
     return dominators, _partition_of(assignments, k), staged
+
+
+def _wave_program(ctx, dominators, k):
+    return NearestDominatorProgram(ctx, ctx.node in dominators, k)
 
 
 def _union_of_cluster_sets(clusters, cluster_sets) -> Set[Any]:
@@ -271,32 +234,3 @@ def _fastdom_tree_dense(
             f"(reproduction note R1 applies to method='diamdom')"
         )
     return dominators, partition_from_labels(csr, label), staged
-
-
-# Program factories are picklable callables (not closures) so the
-# per-cluster runs can be shipped to worker processes under
-# backend="process".
-class _dp_factory:
-    def __init__(self, sub_root, sub_parent, k):
-        self.sub_root, self.sub_parent, self.k = sub_root, sub_parent, k
-
-    def __call__(self, ctx):
-        return TreeKDomProgram(ctx, self.sub_root, self.sub_parent, self.k)
-
-
-class _diamdom_factory:
-    def __init__(self, sub_root, k):
-        self.sub_root, self.k = sub_root, k
-
-    def __call__(self, ctx):
-        return DiamDOMProgram(ctx, self.sub_root, self.k)
-
-
-class _wave_factory:
-    def __init__(self, cluster_dominators, k):
-        self.cluster_dominators, self.k = frozenset(cluster_dominators), k
-
-    def __call__(self, ctx):
-        return NearestDominatorProgram(
-            ctx, ctx.node in self.cluster_dominators, self.k
-        )

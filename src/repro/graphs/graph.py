@@ -9,42 +9,29 @@ this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
 class GraphProvenance:
-    """How a graph can be rebuilt from scratch: the recipe, not the data.
+    """How a generated graph can be rebuilt from scratch: the recipe,
+    not the data.
 
-    The process-execution layer (:mod:`repro.batch.dispatch`) ships this
-    tiny record to worker processes instead of pickling whole adjacency
-    structures; the worker regenerates the graph through its
-    :class:`~repro.batch.cache.GraphCache`.  The contract: replaying
-
-    1. ``parse_graph_spec(spec, seed=seed)``,
-    2. ``assign_unique_weights(seed=weight_seed)`` if ``weight_seed``
-       is not ``None``, and
-    3. ``.subgraph(members)`` if ``members`` is not ``None``
-
-    yields a graph with exactly the same nodes, edges and weights.
-    Generators stamp provenance at construction time; any later
-    structural or weight mutation clears it (the recipe would lie).
+    Replaying ``parse_graph_spec(spec, seed=seed)`` and then, if
+    ``weight_seed`` is not ``None``,
+    ``assign_unique_weights(seed=weight_seed)`` yields a graph with
+    exactly the same nodes, edges and weights.  Generators stamp it at
+    construction time; any later structural or weight mutation clears
+    it (the recipe would lie), and derived graphs (:meth:`Graph.subgraph`
+    and the like) carry none.  The dense backend's CSR memo
+    (:func:`repro.sim.dense.csr.csr_adjacency`) reuses a view only while
+    this stamp is unchanged.
     """
 
     spec: str
     seed: int
     weight_seed: Optional[int] = None
-    members: Optional[Tuple[Any, ...]] = None
-
-    def restricted_to(self, nodes: Iterable[Any]) -> "GraphProvenance":
-        """Provenance of the induced subgraph on ``nodes``.
-
-        Members are always node ids of the *base* generated graph, so
-        restricting an already-restricted provenance stays valid: the
-        new member set is a subset of the old one.
-        """
-        return replace(self, members=tuple(sorted(nodes, key=str)))
 
 
 class Graph:
@@ -150,12 +137,7 @@ class Graph:
         return clone
 
     def subgraph(self, nodes: Iterable[Any]) -> "Graph":
-        """The induced subgraph on ``nodes`` (weights preserved).
-
-        When this graph carries provenance, the subgraph does too —
-        restricted to ``nodes`` — so induced cluster sub-networks stay
-        spec-dispatchable (:mod:`repro.batch.dispatch`).
-        """
+        """The induced subgraph on ``nodes`` (weights preserved)."""
         keep: Set[Any] = set(nodes)
         sub = Graph()
         for v in keep:
@@ -165,8 +147,6 @@ class Graph:
         for u, v, w in self.weighted_edges():
             if u in keep and v in keep:
                 sub.add_edge(u, v, w)
-        if self.provenance is not None:
-            sub.provenance = self.provenance.restricted_to(keep)
         return sub
 
     def edge_subgraph(self, edge_list: Iterable[Tuple[Any, Any]]) -> "Graph":

@@ -30,16 +30,9 @@ def assign_unique_weights(
     m = graph.num_edges
     n = graph.num_nodes
     # The default assignment is replayable from (provenance, seed), so
-    # re-stamp provenance with the weight seed.  Two cases invalidate
-    # instead: a custom max_weight (not recorded in the recipe), and a
-    # members-restricted provenance (the replay order is parse ->
-    # assign -> subgraph, so weighting a subgraph directly would draw a
-    # different sample than weighting the base graph).
-    provenance = graph.provenance
-    if max_weight is not None or (
-        provenance is not None and provenance.members is not None
-    ):
-        provenance = None
+    # re-stamp provenance with the weight seed.  A custom max_weight is
+    # not recorded in the recipe, so it invalidates instead.
+    provenance = graph.provenance if max_weight is None else None
     if max_weight is None:
         max_weight = max(n, 2) ** 3
     if max_weight < m:

@@ -26,12 +26,6 @@ gates the bare numbers at :data:`OBS_GATE_FACTOR` (1.05, i.e. <= 5%
 overhead) against the committed baseline instead of the loose default
 factor.
 
-The report also carries a ``"spec_dispatch"`` section
-(:func:`measure_spec_dispatch`): the pickle bytes the process backend
-ships per task under spec-based dispatch versus whole-network
-shipping, keeping the saving quoted in ``docs/performance.md`` a
-measured number rather than a claim.
-
 Large-n workloads (``fastdom_dense``, ``bfs_grid_dense``) exercise the
 vectorized backend of :mod:`repro.sim.dense` — 10^5-node trees in the
 fast suite, 10^6-node trees and grids in the full suite — and each
@@ -98,13 +92,13 @@ DEFAULT_GATE_FACTOR = 2.0
 #: baseline best (which was recorded on the same class of machine).
 OBS_GATE_FACTOR = 1.05
 
-#: The dense backend must beat the default inline route by at least
+#: The dense backend must beat the default reference route by at least
 #: this factor on the ``dense_speedup`` measurement (FastDOM_T, n=10^4).
 #: Unobserved, that route runs FastDOM_T without the event engine:
 #: BalancedDOM and both cluster stages are pure-Python ports, so the
 #: reference side is no longer a simulation.  The ratio read 3.2-4.5x
 #: on a 2-vCPU host, 1.6-2.25x above the floor.  A dense path that falls
-#: back to the inline route (~1.1x) fails; a dense path made twice as
+#: back to the reference route (~1.1x) fails; a dense path made twice as
 #: slow (2.2-3.2x there) can pass, so this floor guards against the
 #: fallback and slowdowns beyond ~2.3x.
 DENSE_SPEEDUP_FLOOR = 2.0
@@ -411,43 +405,6 @@ def check_telemetry_overhead(
     return []
 
 
-def measure_spec_dispatch(
-    fast: bool = False,
-    echo: Callable[[str], None] = lambda line: None,
-) -> Dict[str, Any]:
-    """Measure what the process backend ships per task; return the
-    ``"spec_dispatch"`` report section.
-
-    Builds the same ``(network, factory)`` runs ``FastDOM_T`` hands to
-    :func:`~repro.batch.pool.run_networks_in_pool` — level-DP programs
-    over random trees — and asks
-    :func:`~repro.batch.dispatch.task_pickle_bytes` what each dispatch
-    path would serialise.  ``spec_bytes`` is the recipe the rewritten
-    dispatcher actually sends, ``network_bytes`` the whole-network
-    fallback it replaced; the ratio is the per-task IPC saving quoted
-    in ``docs/performance.md``.
-    """
-    from .batch.dispatch import task_pickle_bytes
-    from .core.fastdom_tree import _dp_factory
-    from .sim import Network
-
-    sizes = (60, 120) if fast else (200, 400, 800)
-    runs = []
-    for i, n in enumerate(sizes):
-        tree = random_tree(n, seed=11 + i)
-        rooted = RootedTree.from_graph(tree, 0)
-        runs.append((Network(tree), _dp_factory(0, rooted.parent, 3)))
-    stats = task_pickle_bytes(runs)
-    stats["tree_sizes"] = list(sizes)
-    echo(
-        f"{'spec_dispatch':<14} ships {stats['spec_bytes']} B vs "
-        f"{stats['network_bytes']} B whole-network "
-        f"({stats['ratio']:.2f}x, {stats['spec_tasks']}/{stats['runs']} "
-        f"recipe-expressible)"
-    )
-    return stats
-
-
 def measure_dense_speedup(
     n: int = 10_000,
     k: int = 4,
@@ -457,11 +414,12 @@ def measure_dense_speedup(
     ``"dense_speedup"`` report section.
 
     This is the head-to-head number behind the dense backend: the same
-    10^4-node random tree, the same k, the default inline route versus
-    array rounds, one rep each.  Unobserved, the inline route skips the
-    event engine for BalancedDOM and both cluster stages, so this
-    compares the pure-Python ports with the numpy kernels.  The gate in
-    :func:`main` requires ``speedup >=`` :data:`DENSE_SPEEDUP_FLOOR`.
+    10^4-node random tree, the same k, the default reference route
+    versus array rounds, one rep each.  Unobserved, the reference route
+    skips the event engine for BalancedDOM and both cluster stages, so
+    this compares the pure-Python ports with the numpy kernels.  The
+    gate in :func:`main` requires ``speedup >=``
+    :data:`DENSE_SPEEDUP_FLOOR`.
     """
     from .sim.dense import HAVE_NUMPY
 
@@ -900,8 +858,7 @@ def main(
     """Run the suite, write the report, apply the regression gate.
 
     ``workload`` restricts the suite to the named workloads (the
-    auxiliary spec-dispatch and dense-speedup sections are then
-    skipped); ``compare`` prints a per-workload speedup table against a
+    auxiliary dense-speedup and serve sections are then skipped); ``compare`` prints a per-workload speedup table against a
     previously written report after the run.  ``telemetry`` adds the
     sweep telemetry-overhead section and its disabled-cost gate;
     ``history`` appends the run to the BENCH history (``None`` skips).
@@ -916,7 +873,6 @@ def main(
         return 0
     report = run_suite(fast=fast, reps=reps, echo=print, only=workload)
     if not workload:
-        report["spec_dispatch"] = measure_spec_dispatch(fast=fast, echo=print)
         report["dense_speedup"] = measure_dense_speedup(echo=print)
         report["serve_qps"] = measure_serve_qps(fast=fast, echo=print)
     if obs:

@@ -35,7 +35,8 @@ Endpoints: ``POST /query`` (also GET with querystring), ``GET
 /status``, ``GET /metrics``, ``GET /workloads``.  Errors: 400 for bad
 JSON / malformed specs (:class:`~repro.graphs.GraphSpecError`), 404
 for unknown workloads (with did-you-mean) or paths, 413 for a body
-declared longer than ``MAX_BODY_BYTES``, 429 (``Retry-After: 1``) when
+declared longer than ``MAX_BODY_BYTES``, 431 for a request line plus
+headers longer than ``MAX_HEAD_BYTES``, 429 (``Retry-After: 1``) when
 admission is full, 503 while draining or when the pool quarantines a
 cell (deadline/chaos).
 
@@ -76,6 +77,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -89,6 +91,10 @@ ADMISSION_PER_WORKER = 256
 
 #: Largest request body read; a query body is ~80 bytes.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Largest request head (request line plus headers) read; curl sends
+#: ~100 bytes.
+MAX_HEAD_BYTES = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -439,23 +445,37 @@ class ReproServe:
         self._writers.add(writer)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                # Bytes of this request's head read so far.  Past
+                # MAX_HEAD_BYTES, or past the stream's own line limit
+                # (readline's ValueError), the request gets 431.
+                head_bytes = 0
+                try:
+                    request_line = await reader.readline()
+                    if not request_line:
+                        break
+                    head_bytes = len(request_line)
+                    parts = request_line.decode("latin-1").split()
+                    headers: Dict[str, str] = {}
+                    while len(parts) == 3 and head_bytes <= MAX_HEAD_BYTES:
+                        line = await reader.readline()
+                        head_bytes += len(line)
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                except ValueError:
+                    head_bytes = MAX_HEAD_BYTES + 1
+                if head_bytes > MAX_HEAD_BYTES:
+                    await self._respond(writer, 431, self._error_body(
+                        431, f"request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+                    ), close=True)
                     break
-                parts = request_line.decode("latin-1").split()
                 if len(parts) != 3:
                     await self._respond(writer, 400, self._error_body(
                         400, "malformed request line"
                     ), close=True)
                     break
                 method, target, version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
                 try:
                     length = int(headers.get("content-length") or 0)
                 except ValueError:

@@ -37,12 +37,7 @@ from .reliable import (
     ReliableProgram,
     make_reliable,
 )
-from .runner import (
-    PARALLEL_BACKENDS,
-    ParallelRunError,
-    StagedRun,
-    run_in_parallel,
-)
+from .runner import ParallelRunError, StagedRun, run_in_parallel
 from .virtual import ContractedGraph, VirtualNetwork
 from .events import AsyncContext, AsyncNetwork, AsyncNodeProgram
 from .synchronizer import AlphaSynchronizerNode, run_synchronized
@@ -76,7 +71,6 @@ __all__ = [
     "Network",
     "NodeProgram",
     "NotANeighbor",
-    "PARALLEL_BACKENDS",
     "ParallelRunError",
     "PhaseBreakdown",
     "RELIABLE_HEADER_WORDS",

@@ -24,8 +24,8 @@ object: the view is freed with its graph, so whatever bounds the graphs
 scope) bounds the views.  A view is reused only while the graph's
 :class:`~repro.graphs.graph.GraphProvenance` stamp is unchanged —
 mutation clears the stamp and re-weighting replaces it, so a memoised
-view can never go stale.  Graphs without provenance (hand-built or
-mutated) are simply rebuilt each time.
+view can never go stale.  Graphs without provenance (hand-built,
+derived or mutated) are simply rebuilt each time.
 """
 
 from __future__ import annotations

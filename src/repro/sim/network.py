@@ -174,37 +174,21 @@ class Network:
         # that is the whole no-subscriber overhead contract.
         self._obs: Optional[Tap] = _obs_bind(self)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support for the process execution backend.
-
-        Observability taps hold session and subscriber objects (file
-        handles, collectors) that must not cross a process boundary;
-        a network arrives in the worker unobserved.  Everything else —
-        topology tables, scheduling state, fault injector — is plain
-        picklable data.
-        """
-        state = self.__dict__.copy()
-        state["_obs"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     def adopt_results(
         self,
         metrics: RunMetrics,
         outputs: Dict[Any, Dict[str, Any]],
         halted: Dict[Any, bool],
     ) -> None:
-        """Install a completed run's results executed elsewhere.
+        """Install the results of a run computed without this network.
 
-        The process backend runs a pickled copy of this network in a
-        worker and ships back only what drivers consume: final metrics,
-        per-node ``output`` dictionaries and halt flags.  After
-        adoption, :meth:`outputs`, :meth:`output_field` and
-        :meth:`all_halted` answer exactly as if the run had happened
+        A direct route (SimpleMST's, :mod:`repro.core.spanning_forest`)
+        computes what drivers consume — final metrics, per-node
+        ``output`` dictionaries and halt flags — without simulating
+        messages.  After adoption, :meth:`outputs`, :meth:`output_field`
+        and :meth:`all_halted` answer exactly as if the run had happened
         here; transient engine state (inboxes, wakeups) is not
-        transferred.
+        installed.
         """
         self.metrics = metrics
         self.current_round = metrics.rounds

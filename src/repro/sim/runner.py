@@ -4,38 +4,18 @@ The paper repeatedly applies a sub-algorithm "on each cluster
 separately".  Because clusters are vertex-disjoint, the executions do
 not interact, and running them on independent sub-networks while taking
 the *maximum* round count is an exact model of the parallel composition.
-:func:`run_in_parallel` packages that argument.
-
-Two execution backends are available:
-
-* ``backend="inline"`` (the default) runs the sub-networks one after
-  another in this process.  The *accounting* is still parallel (rounds
-  are the max), and every byte of engine state stays observable, which
-  is what the determinism and observability suites rely on.
-* ``backend="process"`` fans the runs across a pool of worker
-  processes (:mod:`repro.batch.pool`), so disjoint clusters really do
-  execute concurrently on separate cores.  Each run ships as a
-  :class:`~repro.batch.dispatch.NetworkSpec` rebuild recipe when its
-  graph carries provenance (spec-based dispatch; a few hundred bytes),
-  falling back to pickling the whole pre-run network otherwise.  Each
-  worker sends back its metrics and node outputs, which are adopted
-  into the caller's :class:`~repro.sim.network.Network` objects.
-  Results are merged in submission order, so the combined metrics are
-  byte-for-byte identical to the inline backend regardless of
-  completion order.  Passing ``pool=`` (or entering a
-  :class:`~repro.batch.pool.SharedPool` context) reuses one persistent
-  pool across calls instead of spawning workers per call.
+:func:`run_in_parallel` packages that argument.  The runs execute one
+after another in this process; only the *accounting* is parallel, and
+every byte of engine state stays observable.  Real processes pay off
+across independent cells instead (:mod:`repro.batch`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .metrics import RunMetrics
 from .network import DEFAULT_MAX_ROUNDS, Network, ProgramFactory
-
-#: Execution backends accepted by :func:`run_in_parallel`.
-PARALLEL_BACKENDS = ("inline", "process")
 
 
 class ParallelRunError(RuntimeError):
@@ -67,44 +47,21 @@ class ParallelRunError(RuntimeError):
 def run_in_parallel(
     runs: Iterable[Tuple[Network, ProgramFactory]],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    backend: str = "inline",
-    workers: Optional[int] = None,
-    pool: Optional[Any] = None,
-    deadline_s: Optional[float] = None,
 ) -> Tuple[List[Network], RunMetrics]:
     """Run several disjoint sub-networks simultaneously.
 
     Returns the list of networks (for output collection) and the full
     parallel composition of their metrics via :meth:`RunMetrics.merge`:
     ``rounds`` is the maximum across runs (they execute in parallel);
-    traffic, halt counts and fault counters are summed.
-
-    ``backend`` selects where the runs execute (see the module
-    docstring); ``workers`` bounds the process pool (default: the CPU
-    count) and ``pool`` reuses a persistent
-    :class:`~repro.batch.pool.SharedPool` instead of spawning one (an
-    ambient entered SharedPool is picked up automatically).  If a run
+    traffic, halt counts and fault counters are summed.  If a run
     raises, the completed runs are preserved and the failure is
     re-raised as :class:`ParallelRunError` with the original exception
-    chained.  ``deadline_s`` (process backend only) arms the
-    hung-worker watchdog: a run in flight longer than the deadline gets
-    its worker killed, a pool restart and a bounded number of retries
-    (see :class:`~repro.batch.pool.SharedPool`).
+    chained.  Every network in ``runs`` is built before the first one
+    runs, so observed runs register in submission order.
     """
-    if backend not in PARALLEL_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {PARALLEL_BACKENDS}, got {backend!r}"
-        )
-    run_list = list(runs)
-    if backend == "process" and len(run_list) > 1:
-        from ..batch.pool import run_networks_in_pool
-
-        return run_networks_in_pool(
-            run_list, max_rounds, workers, pool=pool, deadline_s=deadline_s
-        )
     networks: List[Network] = []
     collected: List[RunMetrics] = []
-    for index, (network, factory) in enumerate(run_list):
+    for index, (network, factory) in enumerate(list(runs)):
         try:
             result = network.run(factory, max_rounds=max_rounds)
         except Exception as exc:

@@ -6,11 +6,8 @@ import pytest
 from repro.batch import GraphCache
 from repro.batch import cache as cache_module
 from repro.batch.cache import worker_graph_cache
-from repro.batch.dispatch import parallel_task, run_parallel_task
 from repro.batch.sweep import SweepCell, _process_cell
-from repro.graphs import GraphSpecError, has_unique_weights, parse_graph_spec
-from repro.primitives.flooding import FloodProgram
-from repro.sim import Network
+from repro.graphs import GraphSpecError, has_unique_weights
 
 
 class TestGraphCache:
@@ -88,14 +85,12 @@ class TestNodeBudget:
 
 
 class TestWorkerCache:
-    def test_sweep_cells_and_dispatched_runs_share_one_cache(self):
+    def test_sweep_cells_on_one_graph_share_one_cache(self):
         cache = worker_graph_cache()
         assert worker_graph_cache() is cache
+        lookups = cache.hits + cache.misses
         _process_cell((SweepCell("partition", "tree:n=24", 7, 2), None, None))
         hits = cache.hits
-        network = Network(parse_graph_spec("tree:n=24", seed=7))
-        task = parallel_task(
-            network, lambda ctx: FloodProgram(ctx, 0, value=1), 100
-        )
-        run_parallel_task(task)
+        _process_cell((SweepCell("partition", "tree:n=24", 7, 3), None, None))
         assert cache.hits == hits + 1
+        assert cache.hits + cache.misses == lookups + 2

@@ -1,7 +1,7 @@
 """FastDOM_T's cluster stages computed without the engine, against the
 engine route.
 
-Unobserved, on the inline backend with ``method="kdom-dp"``,
+Unobserved, on the reference backend with ``method="kdom-dp"``,
 :func:`fastdom_tree` takes :func:`direct_cluster_kdom` instead of
 simulating :class:`TreeKDomProgram` and :class:`NearestDominatorProgram`
 in every DOM_Partition cluster.  Under an observation the engine runs
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.cache import GraphCache
-from repro.batch.pool import SharedPool
 from repro.core.fastdom_graph import fastdom_graph
 from repro.core.fastdom_tree import fastdom_tree
 from repro.core.kdom_tree import (
@@ -158,27 +157,6 @@ PATHS_AND_STARS = [
 def test_path_and_star(tree, root, k):
     _dist, parent = bfs_tree(tree, root)
     assert_matches_engine(tree, root, parent, k)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with SharedPool(workers=2) as shared:
-        yield shared
-
-
-@pytest.mark.parametrize(
-    "spec,seed,k",
-    [("tree:n=80", 0, 2), ("grid:8x10", 1, 4), ("random:n=80,p=0.06", 2, 3)],
-)
-def test_process_backend_agrees(pool, spec, seed, k):
-    graph = GraphCache().get(spec, seed)
-    root = min(graph.nodes)
-    _dist, parent = bfs_tree(graph, root)
-    tree = graph.edge_subgraph((v, p) for v, p in parent.items() if p is not None)
-    processed = outcome(
-        fastdom_tree(tree, root, parent, k, backend="process", pool=pool)
-    )
-    assert direct(tree, root, parent, k) == processed
 
 
 def fixed_partition(monkeypatch, clusters):

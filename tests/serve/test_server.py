@@ -361,6 +361,40 @@ class TestBodyCap:
         assert http(port, "/status")[0] == 200
 
 
+def _distinct_headers(total):
+    """About ``total`` bytes of distinct ~64-byte header lines."""
+    return b"".join(
+        b"X-Filler-%06d: %s\r\n" % (i, b"v" * 44) for i in range(total // 64 + 1)
+    )
+
+
+class TestHeadCap:
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # Many short lines, together past MAX_HEAD_BYTES.
+            b"GET /status HTTP/1.1\r\n"
+            + _distinct_headers(server_module.MAX_HEAD_BYTES + 1024)
+            + b"\r\n",
+            # One 70 KB header line: past asyncio's own 64 KiB line limit.
+            b"GET /status HTTP/1.1\r\nX-Long: " + b"v" * 70_000 + b"\r\n\r\n",
+            # One 70 KB request line.
+            b"GET /status?" + b"v" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["many-headers", "long-header-line", "long-request-line"],
+    )
+    def test_oversized_head_is_431(self, inline_server, head):
+        port = inline_server.port
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head)
+            response = sock.makefile("rb").read()
+        assert response.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
+        assert b"Connection: close" in response
+        assert http(port, "/status")[0] == 200
+
+
 class TestLRUEviction:
     def test_cache_size_bounds_entries_end_to_end(self):
         config = ServeConfig(port=0, backend="inline", cache_size=2)

@@ -27,27 +27,6 @@ class Countdown(NodeProgram):
             self.halt()
 
 
-class PingAndTell(NodeProgram):
-    """Module-level (hence picklable) program for the process backend:
-    node 0 pings its neighbour, everyone records an output."""
-
-    def on_start(self):
-        if self.node == 0:
-            self.send(1, "PING")
-
-    def on_round(self, inbox):
-        self.output["got"] = sorted(e.tag() for e in inbox)
-        self.output["node"] = self.node
-        self.halt()
-
-
-class CountdownFive(Countdown):
-    """Picklable zero-arg-beyond-ctx factory for process-backend tests."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx, 5)
-
-
 class ExplodingFactory:
     """Factory that raises for the failing-run regression tests."""
 
@@ -226,67 +205,3 @@ class TestParallelFailure:
         assert len(err.networks) == 2
         assert err.metrics.rounds == 7
         assert all(net.metrics.all_halted for net in err.networks)
-
-    def test_partial_results_preserved_process(self):
-        runs = [
-            (Network(path_graph(2)), CountdownFive),
-            (Network(path_graph(2)), ExplodingFactory()),
-            (Network(path_graph(2)), CountdownFive),
-        ]
-        with pytest.raises(ParallelRunError) as excinfo:
-            run_in_parallel(runs, backend="process", workers=2)
-        err = excinfo.value
-        assert err.index == 1
-        # Completed runs (whichever finished before the error surfaced)
-        # still carry adopted metrics.
-        for net in err.networks:
-            assert net.metrics.all_halted
-
-
-class TestProcessBackend:
-    def test_matches_inline(self):
-        def build():
-            return [
-                (Network(path_graph(3)), PingAndTell),
-                (Network(path_graph(2)), CountdownFive),
-                (Network(path_graph(4)), PingAndTell),
-            ]
-
-        inline_nets, inline_metrics = run_in_parallel(build())
-        proc_nets, proc_metrics = run_in_parallel(
-            build(), backend="process", workers=2
-        )
-        assert proc_metrics.rounds == inline_metrics.rounds
-        assert proc_metrics.traffic.messages == inline_metrics.traffic.messages
-        assert proc_metrics.halted_nodes == inline_metrics.halted_nodes
-        assert proc_metrics.all_halted is inline_metrics.all_halted
-        for a, b in zip(inline_nets, proc_nets):
-            assert a.outputs() == b.outputs()
-            assert a.metrics.rounds == b.metrics.rounds
-
-    def test_caller_networks_adopt_results(self):
-        net = Network(path_graph(2))
-        nets, _metrics = run_in_parallel(
-            [(net, PingAndTell), (Network(path_graph(2)), PingAndTell)],
-            backend="process",
-            workers=2,
-        )
-        # The same Network objects come back, mutated in place.
-        assert nets[0] is net
-        assert net.outputs()[1]["got"] == ["PING"]
-        assert net.metrics.all_halted
-
-    def test_single_run_stays_inline(self):
-        # One run gains nothing from a pool; factories need not pickle.
-        nets, metrics = run_in_parallel(
-            [(Network(path_graph(2)), lambda ctx: Countdown(ctx, 2))],
-            backend="process",
-        )
-        assert metrics.rounds == 2
-        assert nets[0].metrics.all_halted
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_in_parallel(
-                [(Network(path_graph(2)), CountdownFive)], backend="threads"
-            )
