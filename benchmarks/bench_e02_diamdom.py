@@ -35,7 +35,7 @@ def sweep():
             _d2, _l2, _c2, net2 = diam_dom(g, 0, k, staggered_by_level=True)
             staggered = net2.programs[0].output["decision_round"]
             bound = 5 * d_g + k
-            assert decision <= bound + 5, (name, k, decision, bound)
+            assert decision <= bound, (name, k, decision, bound)
             assert staggered <= decision
             rows.append(
                 [name, g.num_nodes, d_g, k, decision, staggered, bound,

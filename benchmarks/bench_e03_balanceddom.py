@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import log_star
 from repro.core import balanced_dom
 from repro.graphs import RootedTree, random_tree
+from repro.symmetry import cv_iterations
 from repro.verify import is_dominating
 
 from .harness import emit, run_once
@@ -30,8 +31,11 @@ def sweep():
         rows.append(
             [n, log_star(n), net.metrics.rounds, len(dominators), n // 2]
         )
-    # Flatness: 256x more nodes may add only O(1) rounds.
-    assert rounds_seen[-1] - rounds_seen[0] <= 5
+    # Flatness: 256x more nodes may add only the rounds the
+    # Cole–Vishkin schedule gains (one here: 3 iterations at n = 32,
+    # 4 at n = 8192).
+    drift = cv_iterations(SIZES[-1]) - cv_iterations(SIZES[0])
+    assert rounds_seen[-1] - rounds_seen[0] <= drift
     return rows
 
 

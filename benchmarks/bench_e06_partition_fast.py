@@ -57,7 +57,9 @@ def scaling_sweep():
         rows.append(["path-4096 (k sweep)", k, 4096, staged.total_rounds])
     exponent = fit_exponent(k_points)
     note("E6", f"rounds-vs-k growth exponent {exponent:.2f} (claim: ~1.0)")
-    assert exponent <= 1.45
+    # Linear in k, not k log k: on these k, rounds = k log k would fit
+    # an exponent of 1.39; the measured one is 1.10.
+    assert exponent <= 1.25
     # rounds vs n at fixed k
     n_points = []
     for n in (512, 2048, 8192):

@@ -324,13 +324,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
 
     g = build_graph(args)
-    if args.backend == "dense" and args.algo not in ("kdom", "kdom-tree"):
-        print(
-            f"--backend dense applies to the kdom workloads, not "
-            f"{args.algo!r}",
-            file=sys.stderr,
-        )
-        return 2
     injector = _trace_fault_injector(args)
     meta = {
         "algo": args.algo,
@@ -348,16 +341,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
             _edges, staged, _diag = fast_mst(g)
         elif args.algo == "kdom":
             ensure_weights(g, args.seed)
-            _dominators, _partition, staged = fastdom_graph(
-                g, args.k, backend=args.backend
-            )
+            _dominators, _partition, staged = fastdom_graph(g, args.k)
         elif args.algo == "kdom-tree":
             from .core import tree_kdominating_set
 
             root = min(g.nodes, key=str)
             rooted = RootedTree.from_graph(g, root)
             _dominators, _partition, staged = tree_kdominating_set(
-                g, root, rooted.parent, args.k, backend=args.backend
+                g, root, rooted.parent, args.k
             )
         else:
             root = min(g.nodes, key=str)
@@ -1092,11 +1083,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--k", type=int, default=2,
                          help="k for the kdom workloads")
-    p_trace.add_argument(
-        "--backend", choices=("reference", "dense"), default="reference",
-        help="execution backend for the kdom workloads; dense kdom-tree "
-             "replays array rounds into the trace (byte-identical to "
-             "reference)")
     p_trace.add_argument("--out", default="trace.jsonl",
                          help="trace output path (JSONL)")
     p_trace.add_argument("--width", type=int, default=60,

@@ -302,23 +302,25 @@ def tree_kdominating_set(
     Returns (dominating set, nearest-dominator partition, staging info).
 
     ``backend="dense"`` evaluates the DP as per-height scatter-reduces
-    and the wave as k scatter-min label propagations — same outputs,
-    stage rounds, metrics, and (under observation) a byte-identical
-    event stream, replayed through two network-shaped runs in the same
-    registration order as the reference pair.  Malformed parent maps
-    fall back to the reference engine so its failure modes are
-    preserved.
+    and the wave as k scatter-min label propagations, with the whole
+    tree as one cluster — same outputs, stage rounds and metrics.  It
+    serves unobserved runs: under an active observation, and for
+    parent maps outside the dense contract, the reference engine runs,
+    so traces hold engine events and malformed inputs fail in the
+    engine's own way.
     """
     staged = staged if staged is not None else StagedRun()
     if backend == "dense":
+        from ..obs.session import current_observation
         from ..sim.dense import require_numpy
         from ..sim.dense.forest import plan_tree_kdom
 
         require_numpy()
         _require_k(k)
-        plan = plan_tree_kdom(graph, root, parent_of)
-        if plan is not None:
-            return _tree_kdominating_set_dense(graph, plan, k, staged)
+        if current_observation() is None:
+            parent = plan_tree_kdom(graph, root, parent_of)
+            if parent is not None:
+                return _tree_kdominating_set_dense(graph, parent, k, staged)
     elif backend != "reference":
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -343,27 +345,29 @@ def tree_kdominating_set(
 
 
 def _tree_kdominating_set_dense(
-    graph: Graph, plan, k: int, staged: StagedRun
+    graph: Graph, parent, k: int, staged: StagedRun
 ) -> Tuple[Set[Any], Partition, StagedRun]:
     from ..sim.dense.core import np
+    from ..sim.dense.csr import csr_adjacency
     from ..sim.dense.forest import (
-        dense_kdom_dp_run,
-        dense_wave_run,
+        dense_cluster_domination,
+        nearest_dominator_wave,
         partition_from_labels,
     )
 
-    in_dom, dp_run = dense_kdom_dp_run(graph, plan, k)
-    staged.record("kdom-dp", dp_run.metrics)
-    nodes = plan.csr.nodes
-    dominators = {nodes[row] for row in in_dom.nonzero()[0].tolist()}
+    csr = csr_adjacency(graph)
+    owner = np.zeros(csr.n, dtype=np.int64)  # one cluster: the tree
+    in_dom, dp_metrics = dense_cluster_domination(csr, owner, parent, k)
+    staged.record("kdom-dp", dp_metrics)
+    nodes = csr.nodes
+    dominators = {nodes[row] for row in np.flatnonzero(in_dom).tolist()}
 
-    label, dist, wave_run = dense_wave_run(graph, plan, in_dom, k)
-    staged.record("kdom-partition", wave_run.metrics)
+    label, _dist, wave_metrics = nearest_dominator_wave(csr, owner, in_dom, k)
+    staged.record("kdom-partition", wave_metrics)
     if (label < 0).any():  # pragma: no cover - the DP is exactly k-dominating
         missing = [nodes[r] for r in np.flatnonzero(label < 0).tolist()]
         raise RuntimeError(
             f"nodes {missing!r} found no dominator within {k} hops; "
             f"the dominating set is not k-dominating"
         )
-    partition = partition_from_labels(plan.csr, label)
-    return dominators, partition, staged
+    return dominators, partition_from_labels(csr, label), staged

@@ -65,8 +65,8 @@ def dom_partition(
     reports the same virtual round count, and the physical-round charge
     reuses the participation probe's depth measurements (the contracted
     forest's max radius is the max participating cluster depth).  Under
-    an active observation the reference loop runs instead — the virtual
-    network's event stream has no dense replay.
+    an active observation the reference loop runs instead, as for every
+    dense entry point: no dense kernel emits events.
     """
     if backend not in ("reference", "dense"):
         raise ValueError(f"unknown backend {backend!r}")

@@ -297,11 +297,10 @@ def measure_observability(
         if name not in report.get("workloads", {}):
             continue
         if backend == "dense":
-            # Observed dense runs fall back to the reference engine by
-            # design (the event stream has no dense replay for these
-            # drivers), so an "overhead" ratio would time two different
-            # engines.  The contract is about the event engine's hook
-            # points; dense workloads sit outside it.
+            # Observed dense runs run the engine by design, so an
+            # "overhead" ratio would time two different engines.  The
+            # contract is about the event engine's hook points; dense
+            # workloads sit outside it.
             continue
         kwargs = fast_kwargs if fast else full_kwargs
         fn, _params = builder(**kwargs)

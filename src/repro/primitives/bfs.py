@@ -173,10 +173,10 @@ def build_bfs_tree(
     """Run the distributed BFS; return (parent map, depth map, network).
 
     ``backend="dense"`` computes the identical tree, outputs, round
-    count, and metrics with array kernels.  The dense BFS has no event
-    replay, so it defers to the reference engine whenever an
-    observation session is active (or a fault plan is installed) —
-    trace consumers always see genuine engine events.
+    count, and metrics with array kernels.  It emits no events, so it
+    defers to the reference engine whenever an observation session is
+    active (or a fault plan is installed) — trace consumers always see
+    genuine engine events.
     """
     if backend == "dense":
         from ..obs.session import current_observation

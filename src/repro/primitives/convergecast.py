@@ -4,6 +4,9 @@ The building block of the paper's Procedure ``Census`` (§2.2): each
 node combines its children's contributions with its own and forwards
 the result to its parent.  Cost: ``depth`` rounds (leaves start
 immediately; a node fires as soon as all children have reported).
+
+It runs on the reference engine only.  TreeKDom's DP convergecast has
+its own dense kernel (:func:`repro.sim.dense.forest.dense_cluster_domination`).
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ class ConvergecastProgram(NodeProgram):
         self._maybe_fire()
 
 
-#: Built-in combiners the dense backend can express as scatter-reduces.
-#: Custom callables always run on the reference engine.
-_DENSE_REDUCES = {}
-
-
 def tree_convergecast(
     graph,
     root: Any,
@@ -90,33 +88,8 @@ def tree_convergecast(
     local_values: Dict[Any, Any],
     combiner: Combiner = sum_combiner,
     word_limit: int = 8,
-    backend: str = "reference",
 ) -> Tuple[Any, "Network"]:
-    """Run a convergecast; return (root aggregate, network).
-
-    ``backend="dense"`` vectorizes the built-in ``sum``/``max``/``min``
-    combiners over numeric values as per-height scatter-reduces; custom
-    combiners, non-numeric values, and float sums (whose result depends
-    on arrival order) fall back to the reference engine.
-    """
-    if backend == "dense":
-        from ..sim.dense import (
-            dense_convergecast,
-            plan_convergecast,
-            require_numpy,
-        )
-
-        require_numpy()
-        reduce_kind = _DENSE_REDUCES.get(combiner)
-        if reduce_kind is not None:
-            plan = plan_convergecast(
-                graph, root, parent_of, local_values, reduce_kind,
-                word_limit,
-            )
-            if plan is not None:
-                return dense_convergecast(graph, root, plan)
-    elif backend != "reference":
-        raise ValueError(f"unknown backend {backend!r}")
+    """Run a convergecast; return (root aggregate, network)."""
     network = Network(graph, word_limit=word_limit)
     network.run(
         lambda ctx: ConvergecastProgram(
@@ -124,8 +97,3 @@ def tree_convergecast(
         )
     )
     return network.programs[root].output["aggregate"], network
-
-
-_DENSE_REDUCES[sum_combiner] = "sum"
-_DENSE_REDUCES[max_combiner] = "max"
-_DENSE_REDUCES[min_combiner] = "min"

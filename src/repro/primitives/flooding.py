@@ -2,7 +2,8 @@
 
 Each node forwards the first copy it receives to all other neighbours.
 Cost: eccentricity of the source.  Used as a baseline primitive and in
-tests of the simulator's delivery semantics.
+tests of the simulator's delivery semantics.  It runs on the reference
+engine only: no workload floods at a size where an array port would pay.
 """
 
 from __future__ import annotations
@@ -50,29 +51,9 @@ def flood(
     source: Any,
     value: Any,
     word_limit: int = 8,
-    backend: str = "reference",
     faults: Any = None,
 ) -> Tuple[Dict[Any, Any], "Network"]:
-    """Flood ``value`` from ``source``; return (value map, network).
-
-    ``backend="dense"`` runs the vectorized kernel when it can
-    reproduce the reference execution exactly (connected graph, payload
-    within the word limit, no fault plan) and silently falls back to
-    the reference engine otherwise; it raises
-    :class:`~repro.sim.dense.DenseUnavailable` only when numpy itself
-    is missing.
-    """
-    if backend == "dense":
-        from ..sim.dense import dense_flood, plan_flood, require_numpy
-
-        require_numpy()
-        if faults is None:
-            plan = plan_flood(graph, source, value, word_limit)
-            if plan is not None:
-                run = dense_flood(graph, source, value, plan)
-                return run.output_field("value"), run
-    elif backend != "reference":
-        raise ValueError(f"unknown backend {backend!r}")
+    """Flood ``value`` from ``source``; return (value map, network)."""
     network = Network(graph, word_limit=word_limit, faults=faults)
     network.run(lambda ctx: FloodProgram(ctx, source, value))
     return network.output_field("value"), network

@@ -34,11 +34,14 @@ HTTP/1.1 loop, no ``http.server``):
 Endpoints: ``POST /query`` (also GET with querystring), ``GET
 /status``, ``GET /metrics``, ``GET /workloads``.  Errors: 400 for bad
 JSON / malformed specs (:class:`~repro.graphs.GraphSpecError`), 404
-for unknown workloads (with did-you-mean) or paths, 413 for a body
-declared longer than ``MAX_BODY_BYTES``, 431 for a request line plus
-headers longer than ``MAX_HEAD_BYTES``, 429 (``Retry-After: 1``) when
+for unknown workloads (with did-you-mean) or paths, 408 for a request
+not complete within ``REQUEST_TIMEOUT_S``, 413 for a body declared
+longer than ``MAX_BODY_BYTES``, 431 for a request line plus headers
+longer than ``MAX_HEAD_BYTES``, 429 (``Retry-After: 1``) when
 admission is full, 503 while draining or when the pool quarantines a
-cell (deadline/chaos).
+cell (deadline/chaos).  A refusal that closes the connection (400,
+408, 413, 431) closes it lingering, so the client reads the answer
+even while it is still sending.
 
 Drain: SIGTERM/SIGINT stops accepting connections, waits for in-flight
 queries, shuts the dispatcher and pool down, and exits 0.
@@ -75,6 +78,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -95,6 +99,61 @@ MAX_BODY_BYTES = 64 * 1024
 #: Largest request head (request line plus headers) read; curl sends
 #: ~100 bytes.
 MAX_HEAD_BYTES = 16 * 1024
+
+#: Longest wait for a request's head and body, counted from the end of
+#: the previous response (or the connection's start); past it the
+#: request gets 408.  Load generators send back to back, so their idle
+#: gaps are milliseconds.
+REQUEST_TIMEOUT_S = 30.0
+
+
+class _Refusal(Exception):
+    """A request the server answers with ``status`` and then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _RequestClock:
+    """The deadline of the request one connection is reading.
+
+    The handler sets :attr:`deadline` (a loop time) when it starts
+    waiting for a request and clears it once the request is in.  One
+    timer per connection checks it and cancels the handler's task once
+    a set deadline has passed.  The timer is re-armed only when it
+    fires, at the deadline then set or ``REQUEST_TIMEOUT_S`` later, so a
+    request costs two attribute stores, not a timer of its own.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self._task = asyncio.current_task()
+        self.deadline: Optional[float] = None
+        self.expired = False
+        self._timer = loop.call_later(REQUEST_TIMEOUT_S, self._check)
+
+    def _check(self) -> None:
+        now = self._loop.time()
+        if self.deadline is not None and now >= self.deadline:
+            self.expired = True
+            self._task.cancel()
+            return
+        when = self.deadline
+        if when is None:
+            when = now + REQUEST_TIMEOUT_S
+        self._timer = self._loop.call_at(when, self._check)
+
+    def caused_cancel(self) -> bool:
+        """Whether the task's cancellation came from this clock alone:
+        Python 3.11+ counts cancel requests, and one from elsewhere as
+        well stays a cancellation."""
+        return self.expired and not (
+            hasattr(self._task, "uncancel") and self._task.uncancel()
+        )
+
+    def close(self) -> None:
+        self._timer.cancel()
 
 
 @dataclass(frozen=True)
@@ -443,55 +502,29 @@ class ReproServe:
         writer: asyncio.StreamWriter,
     ) -> None:
         self._writers.add(writer)
+        loop = asyncio.get_running_loop()
+        clock = _RequestClock(loop)
         try:
             while True:
-                # Bytes of this request's head read so far.  Past
-                # MAX_HEAD_BYTES, or past the stream's own line limit
-                # (readline's ValueError), the request gets 431.
-                head_bytes = 0
+                clock.deadline = loop.time() + REQUEST_TIMEOUT_S
                 try:
-                    request_line = await reader.readline()
-                    if not request_line:
-                        break
-                    head_bytes = len(request_line)
-                    parts = request_line.decode("latin-1").split()
-                    headers: Dict[str, str] = {}
-                    while len(parts) == 3 and head_bytes <= MAX_HEAD_BYTES:
-                        line = await reader.readline()
-                        head_bytes += len(line)
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                        name, _, value = line.decode("latin-1").partition(":")
-                        headers[name.strip().lower()] = value.strip()
-                except ValueError:
-                    head_bytes = MAX_HEAD_BYTES + 1
-                if head_bytes > MAX_HEAD_BYTES:
-                    await self._respond(writer, 431, self._error_body(
-                        431, f"request head exceeds the {MAX_HEAD_BYTES}-byte limit"
-                    ), close=True)
+                    request = await self._read_request(reader)
+                except asyncio.CancelledError:
+                    if not clock.caused_cancel():
+                        raise
+                    await self._refuse(reader, writer, clock, 408, (
+                        f"no complete request within {REQUEST_TIMEOUT_S:g} s"
+                    ))
                     break
-                if len(parts) != 3:
-                    await self._respond(writer, 400, self._error_body(
-                        400, "malformed request line"
-                    ), close=True)
+                except _Refusal as refusal:
+                    await self._refuse(
+                        reader, writer, clock, refusal.status, str(refusal)
+                    )
                     break
-                method, target, version = parts
-                try:
-                    length = int(headers.get("content-length") or 0)
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    await self._respond(writer, 400, self._error_body(
-                        400, "bad Content-Length header"
-                    ), close=True)
+                clock.deadline = None
+                if request is None:
                     break
-                if length > MAX_BODY_BYTES:
-                    await self._respond(writer, 413, self._error_body(
-                        413, f"request body of {length} bytes exceeds "
-                        f"the {MAX_BODY_BYTES}-byte limit"
-                    ), close=True)
-                    break
-                body = await reader.readexactly(length) if length else b""
+                (method, target, version), headers, body = request
                 keep_alive = (
                     version == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"
@@ -512,12 +545,86 @@ class ReproServe:
         ):
             pass
         finally:
+            clock.close()
             self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[List[str], Dict[str, str], bytes]]:
+        """Read one request: its request line's three parts, its headers
+        and its body; None at a clean EOF.  Raises :class:`_Refusal` for
+        400 (malformed request line or Content-Length), 413 (a body
+        declared longer than ``MAX_BODY_BYTES``) and 431 (a head past
+        ``MAX_HEAD_BYTES``, or past the stream's own line limit, which
+        makes ``readline`` raise ``ValueError``)."""
+        # Bytes of this request's head read so far.
+        head_bytes = 0
+        try:
+            request_line = await reader.readline()
+            if not request_line:
+                return None
+            head_bytes = len(request_line)
+            parts = request_line.decode("latin-1").split()
+            headers: Dict[str, str] = {}
+            while len(parts) == 3 and head_bytes <= MAX_HEAD_BYTES:
+                line = await reader.readline()
+                head_bytes += len(line)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:
+            head_bytes = MAX_HEAD_BYTES + 1
+        if head_bytes > MAX_HEAD_BYTES:
+            raise _Refusal(
+                431, f"request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+            )
+        if len(parts) != 3:
+            raise _Refusal(400, "malformed request line")
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Refusal(400, "bad Content-Length header")
+        if length > MAX_BODY_BYTES:
+            raise _Refusal(413, (
+                f"request body of {length} bytes exceeds "
+                f"the {MAX_BODY_BYTES}-byte limit"
+            ))
+        body = await reader.readexactly(length) if length else b""
+        return parts, headers, body
+
+    async def _refuse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        clock: _RequestClock,
+        status: int,
+        message: str,
+    ) -> None:
+        """Answer ``status`` and close without losing the answer: shut
+        the write side, then discard input until EOF or the request's
+        deadline.  Closing with unread input would make the kernel send
+        RST, and the client would drop the response it has not read
+        yet."""
+        await self._respond(
+            writer, status, self._error_body(status, message), close=True
+        )
+        writer.write_eof()
+        if clock.expired:
+            return
+        try:
+            while await reader.read(64 * 1024):
+                pass
+        except asyncio.CancelledError:
+            if not clock.caused_cancel():
+                raise
 
     async def _respond(
         self,

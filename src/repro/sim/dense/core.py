@@ -9,20 +9,19 @@ every dense kernel needs:
   without numpy, so ``np`` is ``None`` when the package is missing and
   :func:`require_numpy` turns that into the structured
   :class:`DenseUnavailable` error;
-* :class:`DenseRun`, the network-shaped result object a dense kernel
-  stands in place of a :class:`~repro.sim.network.Network`: it
-  registers with the ambient observation session exactly like a real
-  network (same run-id ordering), carries the final
-  :class:`~repro.sim.metrics.RunMetrics`, and answers the attribute
-  reads the obs layer performs at session close (``current_round``,
-  ``metrics``, ``n``).
+* :class:`DenseRun`, the network-shaped result the dense BFS returns
+  in place of a :class:`~repro.sim.network.Network`: it carries the
+  final :class:`~repro.sim.metrics.RunMetrics` and answers the result
+  reads drivers perform (``outputs``, ``output_field``,
+  ``all_halted``).
 
-Equivalence contract: a dense kernel must produce byte-identical
-observable behaviour to the reference scheduler — same outputs, same
-round count, same metrics, and (for kernels with replay emitters) the
-same event stream.  Kernels that cannot honour that contract in some
-configuration fall back to the reference engine instead of
-approximating (fallback rules in docs/performance.md).
+Equivalence contract: a dense kernel must produce the reference
+scheduler's outputs, round count and metrics exactly.  It serves
+unobserved runs only: under an active observation every dense entry
+point runs the reference engine, so no dense kernel registers a run or
+emits an event.  Inputs outside a kernel's contract fall back to the
+reference engine instead of approximating (fallback rules in
+docs/performance.md).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ except ImportError:  # pragma: no cover
     np = None
 
 from ..metrics import RunMetrics
-from ...obs.session import bind as _obs_bind
 
 #: True when numpy is importable; the one switch every entry point checks.
 HAVE_NUMPY = np is not None
@@ -67,23 +65,11 @@ def require_numpy() -> None:
         )
 
 
-def as_int(value: Any) -> int:
-    """Coerce a numpy scalar to a Python int (trace payloads and output
-    dictionaries must hold plain scalars: ``json`` falls back to ``str``
-    for ``np.int64``, which would break byte-identical traces)."""
-    return int(value)
-
-
 class DenseRun:
     """Network-shaped record of one dense kernel execution.
 
-    Constructed *before* the kernel computes (mirroring
-    ``Network.__init__``) so that, under an active observation session,
-    the run id assigned by :meth:`repro.obs.Observation.register`
-    matches the id the reference engine's network would have received
-    at the same call site.  The kernel then fills in ``metrics`` /
-    ``current_round`` / ``outputs`` and, when a tap is bound, replays
-    the round-by-round event stream through :meth:`emit`.
+    The kernel fills in ``metrics``, ``current_round`` and the outputs
+    (eagerly or through a deferred factory).
     """
 
     def __init__(self, graph) -> None:
@@ -93,18 +79,6 @@ class DenseRun:
         self.metrics = RunMetrics()
         self._outputs: Dict[Any, Dict[str, Any]] = {}
         self._outputs_factory: Optional[Any] = None
-        self._obs = _obs_bind(self)
-
-    # -- observation ---------------------------------------------------------
-    @property
-    def observed(self) -> bool:
-        """True when a tap is bound (events must be replayed)."""
-        return self._obs is not None
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.emit(event)
 
     # -- the Network result surface drivers read -----------------------------
     def set_outputs(self, outputs: Dict[Any, Dict[str, Any]]) -> None:

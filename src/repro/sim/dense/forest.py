@@ -2,8 +2,8 @@
 
 Three groups of kernels, mirroring the reference drivers:
 
-* **Tree k-domination DP** (:func:`kdom_dp`) — the bottom-up
-  convergecast of :class:`~repro.core.kdom_tree.TreeKDomProgram`,
+* **Tree k-domination DP** (:func:`dense_cluster_domination`) — the
+  bottom-up convergecast of :class:`~repro.core.kdom_tree.TreeKDomProgram`,
   evaluated as one max/min scatter-reduce per height level.  The same
   arrays serve a single tree (``tree_kdominating_set``) and a whole
   cluster forest at once (``fastdom_tree``'s per-cluster parallel
@@ -19,7 +19,8 @@ Three groups of kernels, mirroring the reference drivers:
   scatter-min of dominator labels over cluster-internal edges per
   level.  A node adopts the minimum label among its one-level-closer
   neighbours — exactly ``sorted(offers)[0]`` in the reference — and
-  everything halts at round ``k`` off the wakeup schedule.
+  everything halts at round ``k`` off the wakeup schedule.  A single
+  tree is one cluster: an all-zero ``owner`` array.
 
 * **Balanced stage** (:func:`balanced_rows`) — the
   ruling-set rounds of ``Small-Dom-Set`` on the *contracted* forest
@@ -35,17 +36,16 @@ Three groups of kernels, mirroring the reference drivers:
   shift-down phase, three per matching phase, and two for the star
   partition — so all nodes halt at round ``cv_iterations + 18``.
 
-The single-tree DP/wave kernels carry byte-exact trace replay
-(:func:`replay_dp`, :func:`replay_wave`); the forest-wide and balanced
-kernels do not, so their drivers fall back to the reference engine
-whenever an observation session is active.
+The kernels return arrays and :class:`~repro.sim.metrics.RunMetrics`;
+none registers a run or emits an event.  Their drivers run the
+reference engine whenever an observation session is active.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from .core import DenseRun, np
+from .core import np
 from .csr import CSRAdjacency, csr_adjacency
 from .kernels import _edge_endpoints, _group_by_level, forest_heights
 from ..metrics import RunMetrics
@@ -60,51 +60,15 @@ _BALANCED_EXTRA_ROUNDS = 18
 _WORDS = 3
 
 
-def _adopt_metrics(run: DenseRun, metrics: RunMetrics) -> None:
-    """Install a fully-built :class:`RunMetrics` on a dense run."""
-    run.metrics = metrics
-    run.current_round = metrics.rounds
-
-
-# ---------------------------------------------------------------------------
-# Parent arrays
-# ---------------------------------------------------------------------------
-
-def plan_parent_rows(csr: CSRAdjacency, root, parent_of) -> Optional[Any]:
-    """``row -> parent row`` for a single-root parent map, or ``None``
-    when the map falls outside the reference program's happy path
-    (missing parents, a parented root, parent edges absent from the
-    graph) — those inputs must fail or hang in the engine's own way."""
-    n = csr.n
-    parent = np.full(n, -1, dtype=np.int64)
-    for i, v in enumerate(csr.nodes):
-        p = parent_of.get(v)
-        if v == root:
-            if p is not None:
-                return None
-        elif p is None or p not in csr.index:
-            return None
-        else:
-            parent[i] = csr.index[p]
-    sources, targets = _edge_endpoints(csr)
-    has_edge = np.zeros(n, dtype=bool)
-    has_edge[sources[parent[sources] == targets]] = True
-    if not bool(has_edge[parent >= 0].all()):
-        return None
-    return parent
-
-
 # ---------------------------------------------------------------------------
 # Tree k-domination DP
 # ---------------------------------------------------------------------------
 
-def kdom_dp(
-    parent: Any, height_levels: List[Any], k: int
-) -> Tuple[Any, Any, Any]:
+def kdom_dp(parent: Any, height_levels: List[Any], k: int) -> Any:
     """Evaluate the tree k-domination DP bottom-up over height levels.
 
-    Returns ``(in_dom, state_u, state_c)``: the membership flags and the
-    exact ``(uncov, cov)`` pair each node sends to its parent.  With a
+    Returns the membership flags; ``state_u``/``state_c`` hold the
+    ``(uncov, cov)`` pair each node sends to its parent.  With a
     cluster-restricted ``parent`` array this evaluates every cluster's
     DP simultaneously (each row with ``parent < 0`` acts as its
     cluster's sub-root).
@@ -132,7 +96,7 @@ def kdom_dp(
             )
     roots = parent < 0
     in_dom[roots & (state_u != -1)] = True
-    return in_dom, state_u, state_c
+    return in_dom
 
 
 def dp_metrics(parent: Any, heights: Any) -> RunMetrics:
@@ -154,47 +118,6 @@ def dp_metrics(parent: Any, heights: Any) -> RunMetrics:
     metrics.all_halted = True
     metrics.halted_nodes = int(parent.shape[0])
     return metrics
-
-
-def replay_dp(
-    run: DenseRun,
-    csr: CSRAdjacency,
-    parent: Any,
-    height_levels: List[Any],
-    state_u: Any,
-    state_c: Any,
-) -> None:
-    """Byte-exact event replay of the single-tree DP convergecast."""
-    nodes = csr.nodes
-    emit = run.emit
-    par = parent.tolist()
-    su = state_u.tolist()
-    sc = state_c.tolist()
-
-    def fire(rows: Any, round_number: int) -> None:
-        for v in rows.tolist():
-            p = par[v]
-            if p >= 0:
-                emit({
-                    "kind": "send", "round": round_number,
-                    "node": nodes[v], "peer": nodes[p], "words": _WORDS,
-                    "payload": ("DP", su[v], sc[v]),
-                })
-            emit({
-                "kind": "halt", "round": round_number, "node": nodes[v],
-            })
-
-    fire(height_levels[0], 0)
-    for r in range(1, len(height_levels)):
-        for s in height_levels[r - 1].tolist():
-            p = par[s]
-            if p >= 0:
-                emit({
-                    "kind": "deliver", "round": r, "node": nodes[p],
-                    "peer": nodes[s], "words": _WORDS,
-                    "sent_round": r - 1, "tag": "DP",
-                })
-        fire(height_levels[r], r)
 
 
 # ---------------------------------------------------------------------------
@@ -257,169 +180,43 @@ def nearest_dominator_wave(
     return label, dist, metrics
 
 
-def replay_wave(
-    run: DenseRun, csr: CSRAdjacency, label: Any, dist: Any, in_dom: Any,
-    k: int,
-) -> None:
-    """Byte-exact event replay of the single-network dominator wave."""
-    nodes = csr.nodes
-    emit = run.emit
-    n = csr.n
-    if k == 0:
-        # The script returns during setup: every node halts at round 0.
-        for v in range(n):
-            emit({"kind": "halt", "round": 0, "node": nodes[v]})
-        return
-    dom = in_dom.tolist()
-    lab = label.tolist()
-    # Setup sweep, index order: dominators broadcast, then every node
-    # books its round-k wakeup.
-    for v in range(n):
-        if dom[v]:
-            payload = ("DOM", nodes[v], 1)
-            for t in csr.neighbors_of(v).tolist():
-                emit({
-                    "kind": "send", "round": 0, "node": nodes[v],
-                    "peer": nodes[t], "words": _WORDS, "payload": payload,
-                })
-        emit({"kind": "wakeup", "round": 0, "node": nodes[v], "target": k})
-    # Rows grouped by adoption round; index 0 holds the unreached.
-    by_dist = _group_by_level(dist + 1, k + 2)
-    for r in range(1, k + 1):
-        for s in by_dist[r].tolist():  # adopters at r−1 broadcast there
-            sid = nodes[s]
-            for t in csr.neighbors_of(s).tolist():
-                emit({
-                    "kind": "deliver", "round": r, "node": nodes[t],
-                    "peer": sid, "words": _WORDS,
-                    "sent_round": r - 1, "tag": "DOM",
-                })
-        if r < k:
-            for v in by_dist[r + 1].tolist():
-                payload = ("DOM", lab[v], r + 1)
-                for t in csr.neighbors_of(v).tolist():
-                    emit({
-                        "kind": "send", "round": r, "node": nodes[v],
-                        "peer": nodes[t], "words": _WORDS,
-                        "payload": payload,
-                    })
-    # Round k: the wakeup matures everywhere; all nodes write outputs
-    # and halt, in index order.
-    for v in range(n):
-        emit({"kind": "halt", "round": k, "node": nodes[v]})
-
-
 # ---------------------------------------------------------------------------
-# tree_kdominating_set kernels (single tree, genuine trace replay)
+# tree_kdominating_set (a single tree)
 # ---------------------------------------------------------------------------
 
-class TreeKDomPlan:
-    def __init__(self, csr, parent, heights, height_levels):
-        self.csr = csr
-        self.parent = parent
-        self.heights = heights
-        self.height_levels = height_levels
-
-
-def plan_tree_kdom(graph, root, parent_of) -> Optional[TreeKDomPlan]:
-    """Precompute the DP structure, or ``None`` when the parent map
-    falls outside the dense contract (the reference engine then handles
-    the input, including its failure modes)."""
+def plan_tree_kdom(graph, root, parent_of) -> Optional[Any]:
+    """``row -> parent row`` for a single tree, or ``None`` when the
+    parent map falls outside the reference program's happy path (a root
+    the graph lacks, missing parents, a parented root, parent edges
+    absent from the graph, a parent cycle) — those inputs must fail or
+    hang in the engine's own way."""
     csr = csr_adjacency(graph)
     if root not in csr.index:
         return None
-    parent = plan_parent_rows(csr, root, parent_of)
-    if parent is None:
+    n = csr.n
+    parent = np.full(n, -1, dtype=np.int64)
+    for i, v in enumerate(csr.nodes):
+        p = parent_of.get(v)
+        if v == root:
+            if p is not None:
+                return None
+        elif p is None or p not in csr.index:
+            return None
+        else:
+            parent[i] = csr.index[p]
+    sources, targets = _edge_endpoints(csr)
+    has_edge = np.zeros(n, dtype=bool)
+    has_edge[sources[parent[sources] == targets]] = True
+    if not bool(has_edge[parent >= 0].all()):
         return None
-    grown = forest_heights(parent, csr.n)
-    if grown is None:
+    if forest_heights(parent, n) is None:
         return None
-    heights, _depth = grown
-    return TreeKDomPlan(
-        csr, parent, heights,
-        _group_by_level(heights, int(heights.max()) + 1),
-    )
-
-
-def dense_kdom_dp_run(graph, plan: TreeKDomPlan, k: int) -> Tuple[Any, DenseRun]:
-    """The DP stage as a network-shaped run; returns (in_dom, run)."""
-    run = DenseRun(graph)
-    in_dom, state_u, state_c = kdom_dp(plan.parent, plan.height_levels, k)
-    _adopt_metrics(run, dp_metrics(plan.parent, plan.heights))
-    flags = in_dom.tolist()
-    nodes = plan.csr.nodes
-    run.set_outputs_factory(
-        lambda: {
-            v: {"in_dominating_set": f} for v, f in zip(nodes, flags)
-        }
-    )
-    if run.observed:
-        replay_dp(
-            run, plan.csr, plan.parent, plan.height_levels,
-            state_u, state_c,
-        )
-    return in_dom, run
-
-
-def dense_wave_run(
-    graph, plan: TreeKDomPlan, in_dom: Any, k: int
-) -> Tuple[Any, Any, DenseRun]:
-    """The partition-wave stage; returns (label, dist, run)."""
-    run = DenseRun(graph)
-    csr = plan.csr
-    owner = np.zeros(csr.n, dtype=np.int64)  # one cluster: the tree
-    label, dist, metrics = nearest_dominator_wave(csr, owner, in_dom, k)
-    _adopt_metrics(run, metrics)
-    labels = label.tolist()
-    dists = dist.tolist()
-    nodes = csr.nodes
-
-    def build_outputs() -> Dict[Any, Dict[str, Any]]:
-        return {
-            v: {
-                "dominator": None if lv < 0 else lv,
-                "dominator_distance": None if dv < 0 else dv,
-            }
-            for v, lv, dv in zip(nodes, labels, dists)
-        }
-
-    run.set_outputs_factory(build_outputs)
-    if run.observed:
-        replay_wave(run, csr, label, dist, in_dom, k)
-    return label, dist, run
+    return parent
 
 
 # ---------------------------------------------------------------------------
 # fastdom_tree kernels (cluster forest)
 # ---------------------------------------------------------------------------
-
-def cluster_arrays(
-    csr: CSRAdjacency, partition, t_parent
-) -> Tuple[Any, Any, List[Any]]:
-    """Owner and in-cluster-parent arrays for a cluster partition.
-
-    ``owner[row]`` is the cluster's index in iteration order;
-    ``parent[row]`` is the row of ``t_parent`` when both live in the
-    same cluster, else −1 (the cluster's sub-root) — exactly the
-    ``sub_parent`` maps the reference driver builds per cluster.
-    """
-    n = csr.n
-    owner = np.full(n, -1, dtype=np.int64)
-    clusters = list(partition)
-    index = csr.index
-    for ci, cluster in enumerate(clusters):
-        for v in cluster.members:
-            owner[index[v]] = ci
-    parent = np.full(n, -1, dtype=np.int64)
-    for v, p in t_parent.items():
-        if p is None or v not in index:
-            continue
-        row = index[v]
-        prow = index[p]
-        if owner[row] == owner[prow]:
-            parent[row] = prow
-    return owner, parent, clusters
-
 
 def partition_from_labels(csr: CSRAdjacency, label: Any):
     """Build the output :class:`~repro.graphs.partition.Partition` from
@@ -451,7 +248,7 @@ def dense_cluster_domination(
         raise ValueError("cluster parent map contains a cycle")
     heights, _depth = grown
     levels = _group_by_level(heights, int(heights.max()) + 1)
-    in_dom, _u, _c = kdom_dp(parent, levels, k)
+    in_dom = kdom_dp(parent, levels, k)
     return in_dom, dp_metrics(parent, heights)
 
 

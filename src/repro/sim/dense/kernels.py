@@ -1,30 +1,23 @@
-"""Dense ports of the message-passing primitives.
+"""The dense BFS tree and the level machinery the forest kernels share.
 
-Each kernel re-derives, with whole-array numpy rounds, exactly what the
-reference program computes node by node:
+:func:`dense_bfs_tree` re-derives, with whole-array numpy rounds,
+exactly what :class:`~repro.primitives.bfs.BFSTreeProgram` computes
+node by node: BFS levels plus a closed form of the wave/echo/broadcast
+protocol — parent = min-``str`` offer, echo rounds from the recurrence
+``E(v) = max(base(v), max_child E + 1)``, total rounds ``E(root) + M``.
+It returns a :class:`~repro.sim.dense.core.DenseRun` whose outputs,
+round count and :class:`~repro.sim.metrics.RunMetrics` are identical
+to the reference engine's.  It emits no events: its driver runs the
+reference engine whenever an observation is active.
 
-* :func:`dense_flood` — level-synchronous BFS from the source; the
-  "first sender" a node forwards around is the minimum-``str`` neighbor
-  one level up, which is a segment-min over ``str_rank``.
-* :func:`dense_convergecast` — heights of the given parent forest, then
-  one scatter-reduce per height level (``add``/``min``/``max``).
-* :func:`dense_bfs_tree` — BFS levels plus a closed-form replay of the
-  wave/echo/broadcast protocol: parent = min-``str`` offer, echo rounds
-  from the recurrence ``E(v) = max(base(v), max_child E + 1)``, total
-  rounds ``E(root) + M``.
+:func:`plan_bfs` returns ``None`` when the input is outside the
+kernel's contract (a root the graph lacks, a disconnected graph, a word
+limit below the protocol's 2-word messages), so the caller can run the
+reference engine and let it fail in its own way.
 
-Every kernel returns a :class:`~repro.sim.dense.core.DenseRun` whose
-outputs, round count, and :class:`~repro.sim.metrics.RunMetrics` are
-identical to the reference engine's.  Flood and convergecast also carry
-replay emitters: under an active observation they reproduce the
-reference event stream byte for byte (send/deliver/wakeup/halt, in
-engine order).  BFS does not replay events — its driver falls back to
-the reference engine whenever a tap would be bound.
-
-A kernel signals "this input is outside my contract" by returning
-``None`` from its ``plan`` step *before* any :class:`DenseRun` is
-registered, so the caller can fall back to the reference engine without
-perturbing observation run ids.
+:func:`forest_heights` and :func:`_group_by_level` serve the forest
+kernels (:mod:`repro.sim.dense.forest`) and the dense ``dom_partition``
+driver.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .core import DenseRun, finish_metrics, np, per_round_from_counts
 from .csr import CSRAdjacency, csr_adjacency
-from ..model import measure_words
 
 
 # ---------------------------------------------------------------------------
@@ -94,130 +86,9 @@ def min_str_prev_neighbor(
     return parent, offer_counts, same_counts
 
 
-def _rows_except(csr: CSRAdjacency, row: int, skip: int) -> Any:
-    """Neighbors of ``row`` excluding ``skip``, natural order."""
-    neighbors = csr.neighbors_of(row)
-    return neighbors[neighbors != skip]
-
-
 # ---------------------------------------------------------------------------
-# Flood
+# Forest heights
 # ---------------------------------------------------------------------------
-
-class FloodPlan:
-    """Everything :func:`dense_flood` derived before registering a run."""
-
-    def __init__(self, csr, dist, levels, first_sender, words):
-        self.csr = csr
-        self.dist = dist
-        self.levels = levels
-        self.first_sender = first_sender
-        self.words = words
-
-
-def plan_flood(graph, source, value, word_limit: int) -> Optional[FloodPlan]:
-    """Precompute a flood, or ``None`` when the reference engine must
-    run instead (unreached nodes would never halt; an oversized payload
-    must raise from the engine's own word-limit check)."""
-    csr = csr_adjacency(graph)
-    if source not in csr.index:
-        return None  # let the reference engine raise its own KeyError
-    words = measure_words(("FLOOD", value, 1))
-    if words > word_limit:
-        return None
-    dist, levels = bfs_levels(csr, csr.index[source])
-    if int(dist.min()) < 0:
-        return None
-    first_sender, _, _ = min_str_prev_neighbor(csr, dist)
-    return FloodPlan(csr, dist, levels, first_sender, words)
-
-
-def dense_flood(graph, source, value, plan: FloodPlan) -> DenseRun:
-    """Execute a planned flood; returns the network-shaped run."""
-    csr, dist, levels = plan.csr, plan.dist, plan.levels
-    run = DenseRun(graph)
-    rounds = len(levels) - 1
-    sends = csr.degrees - 1
-    sends[csr.index[source]] = csr.degrees[csr.index[source]]
-    per_round = np.bincount(dist, weights=sends, minlength=rounds + 1)
-    messages = int(sends.sum())
-    finish_metrics(
-        run,
-        rounds=rounds,
-        messages=messages,
-        total_words=messages * plan.words,
-        max_words=plan.words if messages else 0,
-        per_round=per_round_from_counts(per_round.astype(np.int64)),
-    )
-    hops = dist.tolist()
-    run.set_outputs_factory(
-        lambda: {
-            v: {"value": value, "hops": h}
-            for v, h in zip(csr.nodes, hops)
-        }
-    )
-    if run.observed:
-        _replay_flood(run, plan, value)
-    return run
-
-
-def _replay_flood(run: DenseRun, plan: FloodPlan, value) -> None:
-    """Byte-exact event replay of the reference flood execution."""
-    csr, levels = plan.csr, plan.levels
-    nodes, words = csr.nodes, plan.words
-    first = plan.first_sender.tolist()
-    emit = run.emit
-    source_row = int(levels[0][0])
-
-    def fanout_rows(row: int) -> Any:
-        if row == source_row:
-            return csr.neighbors_of(row)
-        return _rows_except(csr, row, first[row])
-
-    # Round 0: the source broadcasts and halts during setup.
-    source_id = nodes[source_row]
-    for t in fanout_rows(source_row):
-        emit({
-            "kind": "send", "round": 0, "node": source_id,
-            "peer": nodes[t], "words": words,
-            "payload": ("FLOOD", value, 1),
-        })
-    emit({"kind": "halt", "round": 0, "node": source_id})
-    # Round r: deliveries of round r−1's sends (outbox order), then the
-    # sorted sweep where the distance-r level adopts, forwards, halts.
-    for r in range(1, len(levels)):
-        for s in levels[r - 1].tolist():
-            sid = nodes[s]
-            for t in fanout_rows(s):
-                emit({
-                    "kind": "deliver", "round": r, "node": nodes[t],
-                    "peer": sid, "words": words,
-                    "sent_round": r - 1, "tag": "FLOOD",
-                })
-        payload = ("FLOOD", value, r + 1)
-        for v in levels[r].tolist():
-            vid = nodes[v]
-            for t in fanout_rows(v):
-                emit({
-                    "kind": "send", "round": r, "node": vid,
-                    "peer": nodes[t], "words": words,
-                    "payload": payload,
-                })
-            emit({"kind": "halt", "round": r, "node": vid})
-
-
-# ---------------------------------------------------------------------------
-# Convergecast
-# ---------------------------------------------------------------------------
-
-class ConvergecastPlan:
-    def __init__(self, csr, parent, heights, height_levels, reduce_kind):
-        self.csr = csr
-        self.parent = parent  # row -> parent row, −1 at the root
-        self.heights = heights
-        self.height_levels = height_levels  # rows grouped by height, asc
-        self.reduce_kind = reduce_kind  # "sum" | "max" | "min"
-
 
 def _group_by_level(values: Any, count: int) -> List[Any]:
     """Rows grouped by ``values`` (0..count−1), ascending inside each
@@ -266,152 +137,6 @@ def forest_heights(parent: Any, n: int) -> Optional[Tuple[Any, Any]]:
         if inner.size:
             np.maximum.at(heights, parent[inner], heights[inner] + 1)
     return heights, depth
-
-
-def plan_convergecast(
-    graph, root, parent_of, local_values, reduce_kind: str, word_limit: int
-) -> Optional[ConvergecastPlan]:
-    """Precompute a convergecast, or ``None`` on any input the dense
-    port cannot reproduce exactly: malformed parent maps, non-scalar
-    values, integer ranges where an int64 reduction could overflow, or
-    floating sums (whose result depends on the reference engine's
-    arrival order)."""
-    if word_limit < 2:
-        return None
-    csr = csr_adjacency(graph)
-    if root not in csr.index:
-        return None
-    n = csr.n
-    parent = np.full(n, -1, dtype=np.int64)
-    values = np.empty(n, dtype=np.float64)
-    is_float = False
-    for i, v in enumerate(csr.nodes):
-        p = parent_of.get(v)
-        if v == root:
-            if p is not None:
-                return None
-        elif p is None or p not in csr.index:
-            return None
-        else:
-            parent[i] = csr.index[p]
-        try:
-            value = local_values[v]
-        except (KeyError, TypeError):
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        if isinstance(value, float):
-            is_float = True
-        values[i] = value
-    if is_float and reduce_kind == "sum":
-        return None  # float sums are arrival-order dependent
-    if not is_float:
-        bound = np.abs(values).max() if n else 0.0
-        if bound * max(n, 1) >= 2.0**62:
-            return None  # int64 reduction could overflow; use reference
-    # Every parent edge must exist in the graph (the reference program
-    # reads children off ctx.neighbors).
-    sources, targets = _edge_endpoints(csr)
-    has_edge = np.zeros(n, dtype=bool)
-    has_edge[sources[parent[sources] == targets]] = True
-    if not bool(has_edge[parent >= 0].all()):
-        return None
-    grown = forest_heights(parent, n)
-    if grown is None:
-        return None
-    heights, _ = grown
-    plan = ConvergecastPlan(
-        csr,
-        parent,
-        heights,
-        _group_by_level(heights, int(heights.max()) + 1),
-        reduce_kind,
-    )
-    plan.values = values if is_float else values.astype(np.int64)
-    plan.is_float = is_float
-    return plan
-
-
-def dense_convergecast(graph, root, plan: ConvergecastPlan) -> Tuple[Any, DenseRun]:
-    """Execute a planned convergecast; returns (root aggregate, run)."""
-    csr, parent = plan.csr, plan.parent
-    n = csr.n
-    run = DenseRun(graph)
-    aggregate = plan.values.copy()
-    # Fold child aggregates upward one height level at a time; a node's
-    # children all live at strictly smaller heights, so by the time a
-    # level is folded its own values are final.
-    for rows in plan.height_levels:
-        inner = rows[parent[rows] >= 0]
-        if not inner.size:
-            continue
-        if plan.reduce_kind == "sum":
-            np.add.at(aggregate, parent[inner], aggregate[inner])
-        elif plan.reduce_kind == "max":
-            np.maximum.at(aggregate, parent[inner], aggregate[inner])
-        else:
-            np.minimum.at(aggregate, parent[inner], aggregate[inner])
-    rounds = int(plan.heights.max()) if n else 0
-    non_root = parent >= 0
-    messages = int(non_root.sum())
-    per_round = np.bincount(
-        plan.heights[non_root], minlength=rounds + 1
-    )
-    finish_metrics(
-        run,
-        rounds=rounds,
-        messages=messages,
-        total_words=2 * messages,
-        max_words=2 if messages else 0,
-        per_round=per_round_from_counts(per_round),
-    )
-    agg_list = aggregate.tolist()
-    run.set_outputs_factory(
-        lambda: {
-            v: {"aggregate": a} for v, a in zip(csr.nodes, agg_list)
-        }
-    )
-    if run.observed:
-        _replay_convergecast(run, plan, agg_list)
-    return agg_list[csr.index[root]], run
-
-
-def _replay_convergecast(
-    run: DenseRun, plan: ConvergecastPlan, agg_list: List[Any]
-) -> None:
-    csr, parent = plan.csr, plan.parent
-    nodes = csr.nodes
-    emit = run.emit
-    levels = plan.height_levels
-
-    def fire(rows: Any, round_number: int) -> None:
-        for v in rows.tolist():
-            p = parent[v]
-            if p >= 0:
-                emit({
-                    "kind": "send", "round": round_number,
-                    "node": nodes[v], "peer": nodes[p], "words": 2,
-                    "payload": ("CC", agg_list[v]),
-                })
-            emit({
-                "kind": "halt", "round": round_number, "node": nodes[v],
-            })
-
-    # Setup: leaves (height 0) aggregate, send, halt — in index order.
-    fire(levels[0], 0)
-    for r in range(1, len(levels)):
-        # Deliveries first: the previous level's sends, in outbox order
-        # (= sender index order, one message each).
-        for s in levels[r - 1].tolist():
-            p = parent[s]
-            if p >= 0:
-                emit({
-                    "kind": "deliver", "round": r, "node": nodes[p],
-                    "peer": nodes[s], "words": 2,
-                    "sent_round": r - 1, "tag": "CC",
-                })
-        # Sweep: exactly the height-r level fires this round.
-        fire(levels[r], r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
-"""Dense backend ≡ reference engine on the k-domination drivers.
+"""Dense backend ≡ reference backend on the k-domination drivers.
 
-The property the whole backend stands on (ISSUE 7 acceptance): for any
-tree and any k, ``backend="dense"`` yields the *same* dominating set,
-the *same* nearest-dominator partition, and the *same* per-stage round
-breakdown as the reference event engine — the arrays are a faster
-execution of the identical algorithm, never a different algorithm."""
+For any tree and any k, ``backend="dense"`` yields the *same*
+dominating set, the *same* nearest-dominator partition (compared as a
+centre map, not in iteration order), and the *same* per-stage round
+breakdown as ``backend="reference"`` — the arrays are a faster
+execution of the identical algorithm, never a different algorithm.
+
+Both sides run unobserved, so the reference side differs by class.
+``tree_kdominating_set``'s reference backend always simulates, so
+``TestKdomTree`` compares dense with the event engine.  Unobserved,
+``fastdom_tree`` and ``dom_partition`` take their direct routes
+(Small-Dom-Set on the contracted forest, the per-cluster DP and wave
+on per-node state), so ``TestFastdomTree`` and ``TestDomPartition``
+compare dense with those routes; tests/core/test_small_dom_set_port.py
+and test_tree_kdom_port.py pin the routes to the engine."""
 
 import pytest
 

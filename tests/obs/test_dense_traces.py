@@ -1,14 +1,11 @@
-"""Byte-identical traces from the dense backend.
+"""Observed dense runs run the reference engine.
 
-Two distinct guarantees are pinned:
-
-1. Kernels with replay emitters (the TreeKDom DP + wave) genuinely
-   replay the event stream — an observed dense run exports the *same
-   bytes* as the reference engine, not merely the same outputs.
-2. Kernels without replay (FastDOM's balanced partition; any faulted
-   run) defer to the reference engine whenever an observation session
-   is active, so trace consumers never see a divergent stream.  That
-   includes at least one *faulted* run (ISSUE 7 acceptance)."""
+The dense backend serves unobserved runs only.  Under an active
+observation every dense entry point (TreeKDom, FastDOM, the BFS tree;
+any faulted run too) executes on the reference engine, so an observed
+dense run exports the *same bytes* as the reference backend — because
+it is the same run — and no dense kernel registers a run or emits an
+event.  At least one of the pinned runs is *faulted*."""
 
 import io
 
@@ -18,7 +15,7 @@ from repro.core import fastdom_tree, tree_kdominating_set
 from repro.graphs import RootedTree, caterpillar_tree, random_tree
 from repro.obs import JsonlTraceWriter, observe
 from repro.primitives import build_bfs_tree
-from repro.sim import FaultConfig, FaultInjector
+from repro.sim import FaultConfig, FaultInjector, Network
 
 pytest.importorskip("numpy")
 
@@ -32,7 +29,7 @@ def traced(fn):
     return sink.getvalue()
 
 
-class TestGenuineReplay:
+class TestObservedKdomTree:
     @pytest.mark.parametrize("k", [2, 4])
     def test_kdom_tree_trace_bytes(self, k):
         g = random_tree(48, seed=7)
@@ -53,12 +50,21 @@ class TestGenuineReplay:
         )
         assert dense == ref
 
+    def test_observed_dense_registers_engine_networks(self):
+        # The DP and the wave each register one run, and both are the
+        # engine's networks: nothing dense takes part in an observation.
+        g = random_tree(30, seed=2)
+        parent = RootedTree.from_graph(g, 0).parent
+        with observe() as obs:
+            tree_kdominating_set(g, 0, parent, 2, backend="dense")
+        assert obs.run_count == 2
+        assert all(type(run) is Network for run in obs._networks)
+
 
 class TestObservedFallback:
     def test_fastdom_under_observation_matches_reference_bytes(self):
-        # FastDOM's balanced-partition stage has no replay emitter, so
-        # an observed dense run must execute on the reference engine —
-        # the traces are byte-identical because it *is* the same run.
+        # An observed dense run executes on the reference engine — the
+        # traces are byte-identical because it *is* the same run.
         g = random_tree(40, seed=3)
         parent = RootedTree.from_graph(g, 0).parent
         ref = traced(lambda: fastdom_tree(g, 0, parent, 4))

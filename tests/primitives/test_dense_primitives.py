@@ -1,4 +1,4 @@
-"""Dense ports of the wave primitives agree with the event engine.
+"""The dense BFS tree agrees with the event engine.
 
 Every comparison checks the full observable surface the drivers read:
 outputs, round count, and traffic metrics — the dense backend's
@@ -15,13 +15,7 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
-from repro.primitives import build_bfs_tree, flood
-from repro.primitives.convergecast import (
-    max_combiner,
-    min_combiner,
-    sum_combiner,
-    tree_convergecast,
-)
+from repro.primitives import build_bfs_tree
 from repro.sim import FaultConfig, FaultInjector, Network
 
 pytest.importorskip("numpy")
@@ -44,71 +38,6 @@ def same_run(ref_net, dense_run):
         dense_run.metrics.traffic.per_round == ref_net.metrics.traffic.per_round
     )
     assert dense_run.all_halted() and ref_net.metrics.all_halted
-
-
-class TestFlood:
-    @pytest.mark.parametrize("label,graph", GRAPHS)
-    def test_matches_reference(self, label, graph):
-        ref_values, ref_net = flood(graph, 0, 42, backend="reference")
-        dense_values, dense_run = flood(graph, 0, 42, backend="dense")
-        assert dense_values == ref_values
-        same_run(ref_net, dense_run)
-
-    def test_oversized_payload_falls_back_and_still_raises(self):
-        # The plan refuses payloads beyond the word limit so the
-        # reference engine can raise its own error.
-        g = path_graph(5)
-        with pytest.raises(Exception) as ref_err:
-            flood(g, 0, tuple(range(50)), backend="reference")
-        with pytest.raises(Exception) as dense_err:
-            flood(g, 0, tuple(range(50)), backend="dense")
-        assert type(dense_err.value) is type(ref_err.value)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            flood(path_graph(3), 0, 1, backend="sparse")
-
-
-class TestConvergecast:
-    @pytest.mark.parametrize("label,graph", GRAPHS)
-    @pytest.mark.parametrize(
-        "combiner", [sum_combiner, max_combiner, min_combiner]
-    )
-    def test_matches_reference(self, label, graph, combiner):
-        rooted = RootedTree.from_graph(
-            random_tree(graph.num_nodes, seed=11), 0
-        )
-        tree = random_tree(graph.num_nodes, seed=11)
-        values = {v: (v * 7) % 23 for v in tree.nodes}
-        ref_agg, ref_net = tree_convergecast(
-            tree, 0, rooted.parent, values, combiner, backend="reference"
-        )
-        dense_agg, dense_run = tree_convergecast(
-            tree, 0, rooted.parent, values, combiner, backend="dense"
-        )
-        assert dense_agg == ref_agg
-        same_run(ref_net, dense_run)
-
-    def test_custom_combiner_falls_back(self):
-        tree = random_tree(30, seed=3)
-        rooted = RootedTree.from_graph(tree, 0)
-        values = {v: v for v in tree.nodes}
-
-        def product(own, children):
-            out = own
-            for c in children:
-                out = (out * max(c, 1)) % 10007
-            return out
-
-        agg, net = tree_convergecast(
-            tree, 0, rooted.parent, values, product, backend="dense"
-        )
-        # Fallback runs the reference engine — a real Network.
-        assert isinstance(net, Network)
-        ref_agg, _ = tree_convergecast(
-            tree, 0, rooted.parent, values, product, backend="reference"
-        )
-        assert agg == ref_agg
 
 
 class TestBFS:

@@ -2,10 +2,11 @@
 
 The load-bearing contract: a served response body is byte-identical to
 the corresponding row of a finalized ``run_sweep`` store.  Around it,
-the error paths (400 malformed spec, 404 did-you-mean, 413 oversized
-body, 429 full admission, 503 quarantine with tally), single-flight
-dedup, concurrent misses on the process backend, LRU eviction, and the
-status/metrics documents.
+the error paths (400 malformed spec, 404 did-you-mean, 408 stalled
+request, 413 oversized body, 429 full admission, 431 oversized head,
+503 quarantine with tally; refusals reach a client still sending),
+single-flight dedup, concurrent misses on the process backend, LRU
+eviction, and the status/metrics documents.
 """
 
 import json
@@ -391,6 +392,54 @@ class TestHeadCap:
         assert response.startswith(
             b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
         )
+        assert b"Connection: close" in response
+        assert http(port, "/status")[0] == 200
+
+
+class TestRequestTimeout:
+    @pytest.mark.parametrize(
+        "sent", [b"", b"GET /sta"], ids=["idle", "partial-request-line"]
+    )
+    def test_stalled_request_is_408(self, inline_server, monkeypatch, sent):
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
+        port = inline_server.port
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(sent)
+            response = sock.makefile("rb").read()
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"Connection: close" in response
+        assert http(port, "/status")[0] == 200
+
+
+class TestLingeringClose:
+    # Input the server refuses to read is still arriving when it
+    # answers; closing at once would reset the connection and the
+    # client would lose the answer.
+    @pytest.mark.parametrize(
+        "request_bytes,status_line",
+        [
+            (
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000000\r\n\r\n" + b"x" * 1_000_000,
+                b"HTTP/1.1 413 Payload Too Large\r\n",
+            ),
+            (
+                b"GET /status HTTP/1.1\r\n"
+                + _distinct_headers(1_000_000)
+                + b"\r\n",
+                b"HTTP/1.1 431 Request Header Fields Too Large\r\n",
+            ),
+        ],
+        ids=["1MB-body", "1MB-head"],
+    )
+    def test_refusal_reaches_a_client_still_sending(
+        self, inline_server, request_bytes, status_line
+    ):
+        port = inline_server.port
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            response = sock.makefile("rb").read()
+        assert response.startswith(status_line)
         assert b"Connection: close" in response
         assert http(port, "/status")[0] == 200
 

@@ -196,14 +196,11 @@ class TestUnavailable:
 
     def test_without_numpy_primitive_entry_points_raise(self, monkeypatch):
         from repro.primitives.bfs import build_bfs_tree
-        from repro.primitives.flooding import flood
 
         monkeypatch.setattr(dense_core, "np", None)
         g = path_graph(5)
         with pytest.raises(DenseUnavailable):
-            flood(g, 0, 7, backend="dense")
-        with pytest.raises(DenseUnavailable):
             build_bfs_tree(g, 0, backend="dense")
         # The reference engine stays available on the same interpreter.
-        values, _net = flood(g, 0, 7, backend="reference")
-        assert set(values.values()) == {7}
+        parents, _depths, _net = build_bfs_tree(g, 0, backend="reference")
+        assert set(parents) == set(g.nodes)

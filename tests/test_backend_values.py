@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import dom_partition, fastdom_graph, fastdom_tree, tree_kdominating_set
 from repro.graphs import RootedTree, assign_unique_weights, path_graph
-from repro.primitives import build_bfs_tree, flood, tree_convergecast
+from repro.primitives import build_bfs_tree
 
 TREE = assign_unique_weights(path_graph(6), seed=1)
 PARENT = RootedTree.from_graph(TREE, 0).parent
@@ -20,10 +20,6 @@ SMALL = assign_unique_weights(path_graph(3), seed=1)
 
 ENTRY_POINTS = {
     "build_bfs_tree": lambda b: build_bfs_tree(TREE, 0, backend=b),
-    "flood": lambda b: flood(TREE, 0, 1, backend=b),
-    "tree_convergecast": lambda b: tree_convergecast(
-        TREE, 0, PARENT, dict.fromkeys(TREE.nodes, 1), backend=b
-    ),
     "tree_kdominating_set": lambda b: tree_kdominating_set(
         TREE, 0, PARENT, 2, backend=b
     ),

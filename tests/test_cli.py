@@ -232,33 +232,6 @@ class TestTraceCommand:
             )
 
 
-class TestTraceDenseBackend:
-    def trace(self, tmp_path, name, backend):
-        pytest.importorskip("numpy")
-        out = tmp_path / f"{name}.jsonl"
-        code = main(
-            ["trace", "--graph", "tree:n=32", "--algo", "kdom-tree",
-             "--k", "2", "--backend", backend, "--out", str(out)]
-        )
-        assert code == 0
-        return out.read_bytes()
-
-    def test_kdom_tree_dense_trace_byte_identical(self, tmp_path, capsys):
-        # The CI trace-smoke contract: the dense backend's replayed
-        # event stream is the reference engine's stream, byte for byte.
-        ref = self.trace(tmp_path, "ref", "reference")
-        dense = self.trace(tmp_path, "dense", "dense")
-        assert dense == ref
-
-    def test_dense_rejected_for_unported_algos(self, tmp_path, capsys):
-        code = main(
-            ["trace", "--graph", "tree:n=16", "--algo", "bfs",
-             "--backend", "dense", "--out", str(tmp_path / "t.jsonl")]
-        )
-        assert code == 2
-        assert "backend" in capsys.readouterr().err
-
-
 class TestPerfFlags:
     def test_unknown_workload_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
