@@ -13,17 +13,15 @@ import pytest
 from repro.graphs import assign_unique_weights, random_connected_graph
 from repro.mst import fast_mst, kruskal_mst
 
-from .harness import emit, note, run_once, sweep_map
+from .harness import emit, note, run_once
 
 N = 400
 
 KS = (2, 5, 10, 20, 40, 80)
 
 
-def _e12_cell(args):
-    """One k of the ablation (module-level so the cell is picklable and
-    the sweep can fan across workers via REPRO_SWEEP_BACKEND=process)."""
-    g, want, k = args
+def _e12_cell(g, want, k):
+    """One k of the ablation: its table row plus whether the MST is exact."""
     edges, staged, diag = fast_mst(g, k=k)
     breakdown = staged.breakdown()
     stage1 = (
@@ -41,7 +39,7 @@ def sweep():
         random_connected_graph(N, 6.0 / N, seed=9), seed=10
     )
     want = kruskal_mst(g)
-    cells = sweep_map(_e12_cell, [(g, want, k) for k in KS])
+    cells = [_e12_cell(g, want, k) for k in KS]
     rows = []
     totals = {}
     for k, clusters, stage1, stage2, total, exact in cells:

@@ -9,29 +9,12 @@ even with captured output.
 
 from __future__ import annotations
 
-import atexit
 import os
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Sequence
 
 from repro.analysis import banner, format_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-# One persistent worker pool for the whole benchmark process: every
-# process-backend sweep_map reuses it, so a run of several experiment
-# sweeps pays worker startup once.  Created on first use, closed at
-# interpreter exit.
-_SHARED_POOL = None
-
-
-def _shared_pool(workers: Optional[int]):
-    global _SHARED_POOL
-    if _SHARED_POOL is None:
-        from repro.batch import SharedPool
-
-        _SHARED_POOL = SharedPool(workers)
-        atexit.register(_SHARED_POOL.close)
-    return _SHARED_POOL
 
 
 def emit(experiment: str, title: str, headers: Sequence[str], rows) -> str:
@@ -50,33 +33,6 @@ def note(experiment: str, message: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{experiment}.txt"), "a") as handle:
         handle.write(f"[{experiment}] {message}\n")
-
-
-def sweep_map(fn: Callable[[Any], Any], cells: Iterable[Any]) -> List[Any]:
-    """Map a benchmark's cell function over its parameter grid.
-
-    The experiments' sweeps (E01–E16) opt into process-parallel
-    execution through the environment, keeping default runs inline and
-    deterministic:
-
-    * ``REPRO_SWEEP_BACKEND=process`` fans cells across the process's
-      persistent :class:`~repro.batch.pool.SharedPool`; ``fn`` and the
-      cells must then be picklable (module-level functions, plain
-      data).
-    * ``REPRO_SWEEP_WORKERS=N`` bounds the pool (default: CPU count).
-
-    Results always come back in submission order, so tables render
-    identically under either backend.
-    """
-    backend = os.environ.get("REPRO_SWEEP_BACKEND", "inline")
-    workers_text = os.environ.get("REPRO_SWEEP_WORKERS", "")
-    workers = int(workers_text) if workers_text else None
-    from repro.batch import map_submission_order
-
-    pool = _shared_pool(workers) if backend == "process" else None
-    return map_submission_order(
-        fn, cells, backend=backend, workers=workers, pool=pool
-    )
 
 
 def run_once(benchmark, fn):

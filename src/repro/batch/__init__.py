@@ -23,7 +23,6 @@ from .pool import (
     SharedPool,
     TaskQuarantinedError,
     imap_completion_order,
-    map_submission_order,
     resolve_workers,
 )
 from .registry import (
@@ -120,7 +119,6 @@ __all__ = [
     "find_status_files",
     "get_workload",
     "imap_completion_order",
-    "map_submission_order",
     "merge_stores",
     "parse_shard",
     "portfolio_run",

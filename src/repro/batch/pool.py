@@ -7,17 +7,15 @@ run:
   workers via :func:`imap_completion_order`, consuming results as they
   finish so it can checkpoint them immediately;
 * ``repro serve`` hands each cache miss to one long-lived
-  :meth:`SharedPool.imap` call;
-* :func:`benchmarks.harness.sweep_map` maps experiment cells through
-  :func:`map_submission_order`.
+  :meth:`SharedPool.imap` call.
 
 Every route runs on a :class:`SharedPool`, the only place a
 ``multiprocessing`` pool is built.  When one is active (entered as a
-context manager, or passed explicitly) it persists across calls, so
-repeated fan-outs pay worker startup once and worker-side caches
-(graph regeneration, imported workload modules) stay warm.  Without
-one, each call runs on a single-use ``SharedPool``, with the same
-crash and hang recovery.
+context manager on the calling thread or task, or passed explicitly)
+it persists across calls, so repeated fan-outs pay worker startup once
+and worker-side caches (graph regeneration, imported workload modules)
+stay warm.  Without one, each call runs on a single-use
+``SharedPool``, with the same crash and hang recovery.
 
 **Draining** is event-driven: each task posts its outcome from its
 ``apply_async`` callback onto the queue of the call's
@@ -53,6 +51,7 @@ import signal
 import threading
 import time
 from collections import deque
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -154,9 +153,9 @@ class TaskQuarantinedError(RuntimeError):
         self.info = info
 
 
-#: Stack of entered SharedPools; the innermost is the ambient pool that
-#: pool-agnostic call sites (run_sweep, sweep_map) route through.
-_ACTIVE: List["SharedPool"] = []
+#: The innermost SharedPool entered in this thread or task: the ambient
+#: pool that pool-agnostic call sites (run_sweep) route through.
+_ACTIVE: ContextVar[Optional[SharedPool]] = ContextVar("shared_pool", default=None)
 
 #: Seconds between liveness and deadline checks while tasks are in
 #: flight.  The drain loop waits at most this long for an outcome, and
@@ -254,8 +253,9 @@ class SharedPool:
             run_sweep(grid_b, backend="process")   # ...reused
 
     Entering the context makes the pool *ambient*: every
-    ``backend="process"`` call inside the block routes through it
-    (innermost pool wins when nested).  Passing ``pool=...`` explicitly
+    ``backend="process"`` call inside the block, on this thread or task,
+    routes through it (innermost pool wins when nested); another thread
+    does not see it.  Passing ``pool=...`` explicitly
     works too and takes precedence.  Exiting shuts the workers down;
     :meth:`close` is idempotent and also safe to call directly.
 
@@ -365,17 +365,17 @@ class SharedPool:
     def __enter__(self) -> "SharedPool":
         if self._closed:
             raise RuntimeError("SharedPool is closed")
-        _ACTIVE.append(self)
+        self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, *_exc: Any) -> None:
-        _ACTIVE.remove(self)
+        _ACTIVE.reset(self._token)
         self.close()
 
     @classmethod
     def current(cls) -> Optional["SharedPool"]:
-        """The innermost entered pool, or ``None``."""
-        return _ACTIVE[-1] if _ACTIVE else None
+        """The innermost pool entered in this thread or task, or ``None``."""
+        return _ACTIVE.get()
 
     # -- inspection --------------------------------------------------------
     @property
@@ -713,27 +713,3 @@ def imap_completion_order(
     finally:
         if owned is not None:
             owned.close()
-
-
-def map_submission_order(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    backend: str = "inline",
-    workers: Optional[int] = None,
-    pool: Optional[SharedPool] = None,
-) -> List[Any]:
-    """Map ``fn`` over ``items``; results in submission order.
-
-    ``backend="inline"`` runs in this process; ``"process"`` fans out
-    (through ``pool``, the ambient shared pool, or a single-use one)
-    and reassembles.  The first failing item's exception is re-raised
-    either way.  This is the benchmark harness's opt-in hook.
-    """
-    items = list(items)
-    if backend == "inline" or len(items) <= 1:
-        return [fn(item) for item in items]
-    if backend != "process":
-        raise ValueError(f"backend must be 'inline' or 'process', got {backend!r}")
-    return _in_submission_order(
-        imap_completion_order(fn, items, workers, pool=pool), len(items)
-    )

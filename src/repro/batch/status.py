@@ -23,6 +23,8 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+from ..obs.telemetry import parse_series_key
+
 #: Version tag on every status document.
 STATUS_SCHEMA = "repro-status/1"
 
@@ -124,13 +126,11 @@ def fabric_tallies(volatile_counters: Dict[str, Any]) -> Dict[str, int]:
         "quarantined": 0,
         "respawns": 0,
     }
-    prefix = "fabric_tasks{state="
     for key, value in volatile_counters.items():
-        if key.startswith(prefix) and key.endswith("}"):
-            state = key[len(prefix):-1]
-            if state in tallies:
-                tallies[state] += int(value)
-        elif key.startswith("fabric_worker_respawns"):
+        name, labels = parse_series_key(key)
+        if name == "fabric_tasks" and labels.get("state") in tallies:
+            tallies[labels["state"]] += int(value)
+        elif name == "fabric_worker_respawns":
             tallies["respawns"] += int(value)
     return tallies
 

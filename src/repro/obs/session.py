@@ -6,7 +6,8 @@ cannot be threaded through every driver signature.  Instead an
 :class:`Observation` is installed ambiently with :func:`observe`; every
 network constructed while it is active registers itself and receives a
 :class:`Tap` — the tiny emit handle the engine's hot path checks with a
-single ``is not None`` test.
+single ``is not None`` test.  It is ambient only in the thread or
+asyncio task that entered it, and in the tasks that one creates.
 
 Networks outside any session get no tap (``Network._obs is None``) and
 pay nothing beyond that check; that is the "compiled out to no-ops"
@@ -20,17 +21,18 @@ session-less :class:`Tap` with run id 0.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .events import Event, Subscriber
 
-#: Stack of active observations; networks bind to the innermost.
-_ACTIVE: List["Observation"] = []
+#: The innermost active observation; networks bind to it.
+_ACTIVE: ContextVar[Optional[Observation]] = ContextVar("observation", default=None)
 
 
 def current_observation() -> Optional["Observation"]:
-    """The innermost active observation, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost observation active in this thread or task, or ``None``."""
+    return _ACTIVE.get()
 
 
 def bind(network: Any) -> Optional["Tap"]:
@@ -172,12 +174,12 @@ class Observation:
 
     @contextmanager
     def activate(self) -> Iterator["Observation"]:
-        """Install this observation for networks constructed inside."""
-        _ACTIVE.append(self)
+        """Install this observation for networks this thread or task builds."""
+        token = _ACTIVE.set(self)
         try:
             yield self
         finally:
-            _ACTIVE.pop()
+            _ACTIVE.reset(token)
             self.close()
 
 

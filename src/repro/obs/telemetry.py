@@ -11,9 +11,9 @@ sweep moved, how long workers spent per task — with three pieces:
   lets worker-shipped snapshots collapse into a summary that does not
   depend on worker count or completion order.
 * :class:`TelemetrySession` — an ambient registry, mirroring the
-  ``observe()`` pattern: one list-append on entry, one truthiness
-  check (:func:`current_telemetry`) at every instrumentation point, so
-  the disabled cost stays within the same ≤1.05x discipline as the
+  ``observe()`` pattern: one context-variable set on entry, one lookup
+  (:func:`current_telemetry`) at every instrumentation point, so the
+  disabled cost stays within the same ≤1.05x discipline as the
   no-subscriber obs hooks.
 * :func:`span` — hierarchical spans (sweep → shard → task → run →
   phase) with **deterministic ids derived from cell keys**, emitted
@@ -42,6 +42,7 @@ see float-ordering noise.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -69,6 +70,16 @@ def series_key(name: str, labels: Optional[Dict[str, Any]] = None) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
+    """The inverse of :func:`series_key`: ``(name, labels)``, with the
+    label values as strings."""
+    name, brace, inner = key.partition("{")
+    if not brace or not inner.endswith("}"):
+        return key, {}
+    pairs = (label.partition("=") for label in inner[:-1].split(","))
+    return name, {label: value for label, _, value in pairs}
 
 
 def _bucket_label(value: float) -> str:
@@ -247,17 +258,17 @@ class MetricsRegistry:
 
 # -- ambient sessions -------------------------------------------------------
 
-_ACTIVE: List["TelemetrySession"] = []
+_ACTIVE: ContextVar[Optional[TelemetrySession]] = ContextVar("telemetry", default=None)
 
 
 def current_telemetry() -> Optional["TelemetrySession"]:
-    """The innermost active session, or ``None``.
+    """The innermost session active in this thread or task, or ``None``.
 
     This is the single check every instrumentation point performs; with
-    no session active it is one list-truthiness test, mirroring the
+    no session active it is one ``ContextVar.get``, mirroring the
     ``Network._obs is None`` discipline on the simulation hot path.
     """
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _ACTIVE.get()
 
 
 class TelemetrySession:
@@ -271,11 +282,11 @@ class TelemetrySession:
 
     @contextmanager
     def activate(self) -> Iterator["TelemetrySession"]:
-        _ACTIVE.append(self)
+        token = _ACTIVE.set(self)
         try:
             yield self
         finally:
-            _ACTIVE.remove(self)
+            _ACTIVE.reset(token)
 
     def snapshot(self) -> Dict[str, Any]:
         return self.registry.snapshot()
@@ -294,13 +305,13 @@ def telemetry_session() -> Iterator[TelemetrySession]:
 
 # -- spans ------------------------------------------------------------------
 
-#: The ambient span stack (ids).  Module-level rather than per-session
-#: so span parentage works whether or not a session is active.
-_SPANS: List[str] = []
+#: The id of the innermost open span in this thread or task.  Apart
+#: from the session so span parentage works whether or not one is active.
+_SPAN: ContextVar[Optional[str]] = ContextVar("span", default=None)
 
 
 def current_span() -> Optional[str]:
-    return _SPANS[-1] if _SPANS else None
+    return _SPAN.get()
 
 
 def emit_span_event(kind: str, **fields: Any) -> None:
@@ -325,11 +336,11 @@ def span(level: str, key: str, name: Optional[str] = None, **extra: Any):
     Emits ``span_start`` / ``span_end`` onto the active observation
     (no-op without one) and records the duration into the active
     session's volatile ``span_seconds{level=...}`` histogram (no-op
-    without one).  With neither active, the cost is two list ops and a
-    perf_counter call.
+    without one).  With neither active, the cost is a context-variable
+    set and reset and a perf_counter call.
     """
     span_id = f"{level}:{key}"
-    parent = current_span() or ""
+    parent = _SPAN.get() or ""
     session = current_telemetry()
     if current_observation() is not None:
         emit_span_event(
@@ -340,13 +351,13 @@ def span(level: str, key: str, name: Optional[str] = None, **extra: Any):
             name=name or key,
             **extra,
         )
-    _SPANS.append(span_id)
+    token = _SPAN.set(span_id)
     started = perf_counter()
     try:
         yield span_id
     finally:
         elapsed = perf_counter() - started
-        _SPANS.pop()
+        _SPAN.reset(token)
         if session is not None:
             session._span_seconds.observe(elapsed, level=level)
         if current_observation() is not None:

@@ -35,7 +35,8 @@ Endpoints: ``POST /query`` (also GET with querystring), ``GET
 /status``, ``GET /metrics``, ``GET /workloads``.  Errors: 400 for bad
 JSON / malformed specs (:class:`~repro.graphs.GraphSpecError`), 404
 for unknown workloads (with did-you-mean) or paths, 408 for a request
-not complete within ``REQUEST_TIMEOUT_S``, 413 for a body declared
+begun but not complete within ``REQUEST_TIMEOUT_S`` (a connection idle
+that long is closed without an answer), 413 for a body declared
 longer than ``MAX_BODY_BYTES``, 431 for a request line plus headers
 longer than ``MAX_HEAD_BYTES``, 429 (``Retry-After: 1``) when
 admission is full, 503 while draining or when the pool quarantines a
@@ -60,7 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..graphs import GraphSpecError
-from ..obs.telemetry import TelemetrySession, emit_span_event
+from ..obs.telemetry import TelemetrySession, parse_series_key, span
 from ..batch.cache import GraphCache
 from ..batch.pool import PoolCrashError, SharedPool, TaskSource
 from ..batch.registry import WorkloadError, get_workload, workload_names
@@ -101,9 +102,9 @@ MAX_BODY_BYTES = 64 * 1024
 MAX_HEAD_BYTES = 16 * 1024
 
 #: Longest wait for a request's head and body, counted from the end of
-#: the previous response (or the connection's start); past it the
-#: request gets 408.  Load generators send back to back, so their idle
-#: gaps are milliseconds.
+#: the previous response (or the connection's start); past it a begun
+#: request gets 408 and an idle connection is closed.  Load generators
+#: send back to back, so their idle gaps are milliseconds.
 REQUEST_TIMEOUT_S = 30.0
 
 
@@ -192,14 +193,10 @@ def serve_tallies(volatile_counters: Dict[str, Any]) -> Dict[str, int]:
     the way :func:`~repro.batch.status.fabric_tallies` does for the
     pool's counters."""
     tallies = {"hit": 0, "miss": 0, "flight": 0, "error": 0}
-    prefix = "serve_requests{"
     for key, value in volatile_counters.items():
-        if not (key.startswith(prefix) and key.endswith("}")):
-            continue
-        for label in key[len(prefix):-1].split(","):
-            name, _, outcome = label.partition("=")
-            if name == "outcome" and outcome in tallies:
-                tallies[outcome] += int(value)
+        name, labels = parse_series_key(key)
+        if name == "serve_requests" and labels.get("outcome") in tallies:
+            tallies[labels["outcome"]] += int(value)
     tallies["total"] = sum(tallies.values())
     return tallies
 
@@ -396,11 +393,9 @@ class ReproServe:
         process backend's pool call, or inline batches of the task
         queue until its shutdown sentinel.
 
-        Runs with the server's telemetry session ambient so the pool's
-        fabric counters and ``run_cell``'s task spans accumulate in the
-        same registry ``/metrics`` snapshots.  (The ambient stack is
-        process-global: don't run a concurrent ``run_sweep`` in this
-        process while the server is executing cells.)
+        Runs with the server's telemetry session ambient on this thread
+        so the pool's fabric counters and ``run_cell``'s task spans
+        accumulate in the same registry ``/metrics`` snapshots.
         """
         with self.session.activate():
             if self._source is not None:
@@ -507,14 +502,22 @@ class ReproServe:
         try:
             while True:
                 clock.deadline = loop.time() + REQUEST_TIMEOUT_S
+                first = b""
                 try:
-                    request = await self._read_request(reader)
+                    # A deadline that passes before a request's first byte
+                    # closes the connection unanswered: a keep-alive
+                    # client must not read a 408 it did not ask for.
+                    first = await reader.read(1)
+                    if not first:
+                        break
+                    request = await self._read_request(reader, first)
                 except asyncio.CancelledError:
                     if not clock.caused_cancel():
                         raise
-                    await self._refuse(reader, writer, clock, 408, (
-                        f"no complete request within {REQUEST_TIMEOUT_S:g} s"
-                    ))
+                    if first:
+                        await self._refuse(reader, writer, clock, 408, (
+                            f"no complete request within {REQUEST_TIMEOUT_S:g} s"
+                        ))
                     break
                 except _Refusal as refusal:
                     await self._refuse(
@@ -522,8 +525,6 @@ class ReproServe:
                     )
                     break
                 clock.deadline = None
-                if request is None:
-                    break
                 (method, target, version), headers, body = request
                 keep_alive = (
                     version == "HTTP/1.1"
@@ -554,20 +555,21 @@ class ReproServe:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[List[str], Dict[str, str], bytes]]:
-        """Read one request: its request line's three parts, its headers
-        and its body; None at a clean EOF.  Raises :class:`_Refusal` for
-        400 (malformed request line or Content-Length), 413 (a body
-        declared longer than ``MAX_BODY_BYTES``) and 431 (a head past
-        ``MAX_HEAD_BYTES``, or past the stream's own line limit, which
-        makes ``readline`` raise ``ValueError``)."""
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> Tuple[List[str], Dict[str, str], bytes]:
+        """Read the rest of the request whose ``first`` byte has been
+        read: its request line's three parts, its headers and its body.
+        Raises :class:`_Refusal` for 400 (malformed request line or
+        Content-Length), 413 (a body declared longer than
+        ``MAX_BODY_BYTES``) and 431 (a head past ``MAX_HEAD_BYTES``, or
+        past the stream's own line limit, which makes ``readline`` raise
+        ``ValueError``)."""
+        request_line = first
         # Bytes of this request's head read so far.
         head_bytes = 0
         try:
-            request_line = await reader.readline()
-            if not request_line:
-                return None
+            if first != b"\n":  # else the first byte ends the line
+                request_line += await reader.readline()
             head_bytes = len(request_line)
             parts = request_line.decode("latin-1").split()
             headers: Dict[str, str] = {}
@@ -714,7 +716,6 @@ class ReproServe:
         self._request_seq += 1
         request_id = self._request_seq
         outcome = "error"
-        key: Optional[str] = None
         try:
             if self.state != "running":
                 return 503, self._error_body(
@@ -727,68 +728,60 @@ class ReproServe:
                     exc.status, str(exc)
                 ), ()
             key = cell.key
-            emit_span_event(
-                "span_start",
-                span=f"request:{key}#{request_id}",
-                parent="",
-                level="request",
-                name=key,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                outcome = "hit"
-                return 200, cached, (("X-Serve-Cache", "hit"),)
-            future = self._inflight.get(key)
-            if future is not None:
-                outcome = "flight"
-                flavor = "flight"
-            else:
-                limit = ADMISSION_PER_WORKER * self.workers
-                if len(self._inflight) >= limit:
-                    return 429, self._error_body(
-                        429, f"{limit} distinct cells already outstanding"
-                    ), (("Retry-After", "1"),)
-                outcome = "miss"
-                flavor = "miss"
-                future = self._loop.create_future()
-                self._inflight[key] = future
-                if self._source is not None:
-                    self._run_batch([(key, cell, provider)])
+            # Each connection's task has its own context, so the spans
+            # of interleaved requests do not nest in one another.
+            with span("request", f"{key}#{request_id}", name=key):
+                cached = self.cache.get(key)
+                if cached is not None:
+                    outcome = "hit"
+                    return 200, cached, (("X-Serve-Cache", "hit"),)
+                future = self._inflight.get(key)
+                if future is not None:
+                    outcome = "flight"
+                    flavor = "flight"
                 else:
-                    self._tasks.put((key, cell, provider))
-            result = await future
-            kind = result[0]
-            if kind == "ok":
-                return 200, result[1], (("X-Serve-Cache", flavor),)
-            if kind == "quarantined":
+                    limit = ADMISSION_PER_WORKER * self.workers
+                    if len(self._inflight) >= limit:
+                        return 429, self._error_body(
+                            429, f"{limit} distinct cells already outstanding"
+                        ), (("Retry-After", "1"),)
+                    outcome = "miss"
+                    flavor = "miss"
+                    future = self._loop.create_future()
+                    self._inflight[key] = future
+                    if self._source is not None:
+                        self._run_batch([(key, cell, provider)])
+                    else:
+                        self._tasks.put((key, cell, provider))
+                result = await future
+                kind = result[0]
+                if kind == "ok":
+                    return 200, result[1], (("X-Serve-Cache", flavor),)
+                if kind == "quarantined":
+                    outcome = "error"
+                    info = result[1]
+                    tally = fabric_tallies(
+                        self._registry.volatile_counters
+                    )["quarantined"]
+                    return 503, self._error_body(
+                        503,
+                        f"cell {key} quarantined after "
+                        f"{info.get('attempts')} attempt(s) "
+                        f"({info.get('reason')})",
+                        quarantined=info,
+                        quarantine_tally=tally,
+                    ), ()
                 outcome = "error"
-                info = result[1]
-                tally = fabric_tallies(
-                    self._registry.volatile_counters
-                )["quarantined"]
-                return 503, self._error_body(
-                    503,
-                    f"cell {key} quarantined after "
-                    f"{info.get('attempts')} attempt(s) "
-                    f"({info.get('reason')})",
-                    quarantined=info,
-                    quarantine_tally=tally,
+                exc = result[1]
+                status = classify_failure(exc)
+                return status, self._error_body(
+                    status, f"{type(exc).__name__}: {exc}"
                 ), ()
-            outcome = "error"
-            exc = result[1]
-            status = classify_failure(exc)
-            return status, self._error_body(
-                status, f"{type(exc).__name__}: {exc}"
-            ), ()
         finally:
             requests.inc(1, endpoint="query", outcome=outcome)
             self._registry.histogram(
                 "serve_request_seconds", volatile=True
             ).observe(time.perf_counter() - started, endpoint="query")
-            if key is not None:
-                emit_span_event(
-                    "span_end", span=f"request:{key}#{request_id}"
-                )
 
     # -- documents ---------------------------------------------------
 
@@ -796,12 +789,10 @@ class ReproServe:
         """The ``/status`` JSON document (``repro-serve/1``)."""
         volatile = self._registry.volatile_counters
         tasks = {"ok": 0, "error": 0, "quarantined": 0}
-        prefix = "serve_tasks{state="
         for key, value in volatile.items():
-            if key.startswith(prefix) and key.endswith("}"):
-                state = key[len(prefix):-1]
-                if state in tasks:
-                    tasks[state] += int(value)
+            name, labels = parse_series_key(key)
+            if name == "serve_tasks" and labels.get("state") in tasks:
+                tasks[labels["state"]] += int(value)
         return {
             "schema": SERVE_SCHEMA,
             "document": "status",

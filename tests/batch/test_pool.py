@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import repro
-from repro.batch import map_submission_order, resolve_workers
+from repro.batch import SharedPool, resolve_workers
 from repro.batch.pool import imap_completion_order
 
 
@@ -46,40 +46,20 @@ class TestResolveWorkers:
 
 
 class TestMapSubmissionOrder:
-    def test_inline_order(self):
-        assert map_submission_order(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_process_matches_inline(self):
-        items = list(range(7))
-        inline = map_submission_order(_square, items)
-        for workers in (1, 2, 3):
-            assert (
-                map_submission_order(
-                    _square, items, backend="process", workers=workers
-                )
-                == inline
-            )
-
-    def test_empty(self):
-        assert map_submission_order(_square, [], backend="process") == []
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            map_submission_order(_square, [1, 2], backend="threads")
+    """``SharedPool.map``: once every task is in, the first failure in
+    submission order is re-raised."""
 
     def test_first_failure_reraised(self):
-        with pytest.raises(ValueError, match="bad cell 3"):
-            map_submission_order(
-                _fail_on_three, [1, 2, 3, 4], backend="process", workers=2
-            )
+        with SharedPool(workers=2) as pool:
+            with pytest.raises(ValueError, match="bad cell 3"):
+                pool.map(_fail_on_three, [1, 2, 3, 4])
 
     def test_unpicklable_exception_transported(self):
         # An exception that cannot cross the process boundary must come
         # back as a faithful stand-in, not hang or kill the pool.
-        with pytest.raises(RuntimeError, match="_Unpicklable"):
-            map_submission_order(
-                _raise_unpicklable, [1, 2], backend="process", workers=2
-            )
+        with SharedPool(workers=2) as pool:
+            with pytest.raises(RuntimeError, match="_Unpicklable"):
+                pool.map(_raise_unpicklable, [1, 2])
 
 
 class TestImapCompletionOrder:

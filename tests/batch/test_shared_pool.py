@@ -11,8 +11,9 @@ import pytest
 from repro.batch import (
     PoolCrashError,
     SharedPool,
+    SweepGrid,
     imap_completion_order,
-    map_submission_order,
+    run_sweep,
 )
 from repro.batch import pool as pool_module
 from repro.batch.pool import TaskSource
@@ -70,10 +71,8 @@ class TestReuse:
     def test_ambient_pool_is_picked_up(self):
         """Pool-agnostic entry points route through the entered pool."""
         with SharedPool(workers=2) as pool:
-            results = map_submission_order(
-                _pid, range(6), backend="process"
-            )
-            assert set(results) <= set(pool.worker_pids())
+            pids = [pid for _i, _s, pid in imap_completion_order(_pid, range(6))]
+            assert set(pids) <= set(pool.worker_pids())
             assert pool.completed == 6
 
     def test_explicit_pool_beats_ambient(self):
@@ -92,6 +91,24 @@ class TestReuse:
                 assert SharedPool.current() is inner
             assert SharedPool.current() is outer
         assert SharedPool.current() is None
+
+    def test_ambient_pool_is_per_thread(self):
+        """A pool entered on one thread is not ambient on another: a
+        process sweep there runs on a single-use pool of its own."""
+        grid = SweepGrid("kdom", ("tree:n=8",), (0, 1, 2), (2,))
+        seen = []
+
+        def other_thread():
+            seen.append(SharedPool.current())
+            seen.append(run_sweep(grid, backend="process", workers=2).ran)
+
+        with SharedPool(workers=2) as pool:
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert seen == [None, 3]
+            assert pool.completed == 0
 
     def test_lazy_start(self):
         with SharedPool(workers=1) as pool:

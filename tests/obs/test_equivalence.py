@@ -1,16 +1,20 @@
 """Observational equivalence guarantees of the event stream.
 
-Two properties are pinned here:
+Three properties are pinned here:
 
 1. **Scheduling transparency** — every event kind is model-visible, so
    a seeded run exports a *byte-identical* JSONL trace under
    ``scheduling="full"`` and ``scheduling="active"``, clean or faulted.
 2. **Observer transparency** — attaching subscribers must not change
    the run itself (rounds, traffic, outputs).
+3. **Observation scope** — an observation reaches only the thread that
+   entered it; a run on another thread keeps its unobserved route.
 """
 
 import io
+import threading
 
+from repro.batch import SweepCell, run_cell
 from repro.graphs import path_graph
 from repro.obs import CountingSubscriber, JsonlTraceWriter, observe
 from repro.primitives.flooding import FloodProgram
@@ -89,3 +93,41 @@ class TestObserverTransparency:
         report_b, outputs_b = run(True)
         assert report_a == report_b
         assert outputs_a == outputs_b
+
+
+class TestObservationScope:
+    def test_observation_does_not_reach_another_thread(self, monkeypatch):
+        built = []
+        real_init = Network.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counting_init)
+        cell = SweepCell("kdom", "random:n=60,p=0.08", 0, 3)
+
+        def networks_built(on_thread):
+            """Networks one run of ``cell`` builds, and its row."""
+            built.clear()
+            rows = []
+            if on_thread:
+                thread = threading.Thread(
+                    target=lambda: rows.append(run_cell(cell))
+                )
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            else:
+                rows.append(run_cell(cell))
+            return len(built), rows[0]
+
+        unobserved, row = networks_built(on_thread=True)
+        counter = CountingSubscriber()
+        with observe(counter):
+            assert networks_built(on_thread=True) == (unobserved, row)
+            assert counter.total == 0
+            # On the observing thread itself the engine route runs.
+            observed, observed_row = networks_built(on_thread=False)
+        assert observed > unobserved and counter.total > 0
+        assert observed_row == row

@@ -4,11 +4,13 @@ The load-bearing contract: a served response body is byte-identical to
 the corresponding row of a finalized ``run_sweep`` store.  Around it,
 the error paths (400 malformed spec, 404 did-you-mean, 408 stalled
 request, 413 oversized body, 429 full admission, 431 oversized head,
-503 quarantine with tally; refusals reach a client still sending),
-single-flight dedup, concurrent misses on the process backend, LRU
-eviction, and the status/metrics documents.
+503 quarantine with tally; refusals reach a client still sending; an
+idle connection is closed unanswered), single-flight dedup, concurrent
+misses on the process backend, LRU eviction, the status/metrics
+documents, and ambient state that stays with its own thread or task.
 """
 
+import asyncio
 import json
 import os
 import socket
@@ -16,14 +18,17 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
 from repro.batch import SweepGrid, run_sweep
 from repro.batch.registry import register_workload
+from repro.obs import TraceBuffer, current_telemetry, observe
 from repro.serve import (
     SERVE_SCHEMA,
     QueryError,
+    ReproServe,
     ServeConfig,
     build_cell,
     query_body,
@@ -398,7 +403,9 @@ class TestHeadCap:
 
 class TestRequestTimeout:
     @pytest.mark.parametrize(
-        "sent", [b"", b"GET /sta"], ids=["idle", "partial-request-line"]
+        "sent",
+        [b"GET /sta", b"GET /status HTTP/1.1\r\n"],
+        ids=["partial-request-line", "partial-head"],
     )
     def test_stalled_request_is_408(self, inline_server, monkeypatch, sent):
         monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
@@ -408,6 +415,28 @@ class TestRequestTimeout:
             response = sock.makefile("rb").read()
         assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
         assert b"Connection: close" in response
+        assert http(port, "/status")[0] == 200
+
+    @pytest.mark.parametrize("answered", [0, 1], ids=["idle", "keep-alive"])
+    def test_idle_connection_is_closed_without_a_response(
+        self, inline_server, monkeypatch, answered
+    ):
+        """No byte of a next request arrived: the server closes and
+        sends nothing, so a client reusing the connection cannot take an
+        unsolicited 408 for the answer to its next request."""
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
+        port = inline_server.port
+        conn = HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.connect()
+            for _ in range(answered):
+                conn.request("GET", "/status")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            assert conn.sock.recv(1024) == b""
+        finally:
+            conn.close()
         assert http(port, "/status")[0] == 200
 
 
@@ -442,6 +471,96 @@ class TestLingeringClose:
         assert response.startswith(status_line)
         assert b"Connection: close" in response
         assert http(port, "/status")[0] == 200
+
+
+def _task_spans(snapshot):
+    """How many task spans a telemetry snapshot timed."""
+    histograms = snapshot["volatile"]["histograms"]
+    return histograms["span_seconds{level=task}"]["count"]
+
+
+async def _post_query(port, body):
+    """One POST /query over a fresh connection on the running loop."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(
+        b"POST /query HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    )
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
+class TestAmbientState:
+    """An observation or telemetry session reaches only the thread or
+    task that entered it (and the tasks that one creates)."""
+
+    def test_sweep_and_server_keep_their_own_sessions(self, inline_server):
+        _GATE_STARTED.clear()
+        _GATE_RELEASE.clear()
+        port = inline_server.port
+        grid = SweepGrid("serve-gate", ("tree:n=8",), (0, 1), (2, 3))
+        summaries = []
+        sweep = threading.Thread(
+            target=lambda: summaries.append(run_sweep(grid))
+        )
+        misses = 6
+        try:
+            sweep.start()
+            # The sweep's session is active on its thread from here on.
+            assert _GATE_STARTED.wait(timeout=10)
+            for seed in range(misses):
+                body = query_body("kdom", "tree:n=8", seed, 2)
+                _, _, headers = http(port, "/query", body)
+                assert headers["X-Serve-Cache"] == "miss"
+            assert current_telemetry() is None
+        finally:
+            _GATE_RELEASE.set()
+            sweep.join(timeout=30)
+        assert not sweep.is_alive()
+        assert _task_spans(json.loads(http(port, "/metrics")[1])) == misses
+        assert _task_spans(summaries[0].telemetry) == len(grid.cells())
+
+    def test_interleaved_request_spans_do_not_nest(self):
+        _GATE_STARTED.clear()
+        _GATE_RELEASE.clear()
+        body = query_body("serve-gate", "tree:n=8", 0, 2)
+        trace = TraceBuffer()
+
+        async def started(count):
+            deadline = time.monotonic() + 10
+            while len(trace.by_kind("span_start")) < count:
+                assert time.monotonic() < deadline, "request never began"
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            with observe(trace):
+                server = ReproServe(ServeConfig(port=0, backend="inline"))
+                await server.start()
+                try:
+                    # The second request (a flight on the same cell)
+                    # begins while the first waits on the gated cell.
+                    first = asyncio.ensure_future(_post_query(server.port, body))
+                    await started(1)
+                    second = asyncio.ensure_future(_post_query(server.port, body))
+                    await started(2)
+                    _GATE_RELEASE.set()
+                    return await asyncio.gather(first, second)
+                finally:
+                    _GATE_RELEASE.set()
+                    await server.drain()
+
+        responses = asyncio.run(scenario())
+        assert all(r.startswith(b"HTTP/1.1 200 OK\r\n") for r in responses)
+        starts = trace.by_kind("span_start")
+        ends = trace.by_kind("span_end")
+        key = "serve-gate|tree:n=8|seed=0|k=2"
+        assert [(e["span"], e["parent"]) for e in starts] == [
+            (f"request:{key}#1", ""),
+            (f"request:{key}#2", ""),
+        ]
+        assert sorted(e["span"] for e in ends) == [e["span"] for e in starts]
 
 
 class TestLRUEviction:
