@@ -4,9 +4,8 @@ Drives a running server with concurrent keep-alive queries in two
 phases — a *cold* pass touching every distinct cell once, then a
 *warm* pass cycling the same cells through the result cache — and
 prints the throughput report.  The CI ``serve-smoke`` job and manual
-capacity checks use this; the committed ``serve_qps`` numbers in
-BENCH_sim.json come from ``repro perf`` (same client, in-process
-server).
+capacity checks use this; serve throughput is benchmarked by perfbench's
+``serve`` workload.
 
 Usage::
 

@@ -514,8 +514,8 @@ def run_sweep(
     an atomic status sidecar (``status_path``, default
     ``<store>.status.json``; see :mod:`repro.batch.status`) rendered by
     ``repro status`` / ``repro top``.  ``telemetry=False`` turns all of
-    it off — the overhead of the *enabled* path is itself gated at
-    ≤1.05x by ``repro perf --telemetry``.  ``profile_dir`` makes every
+    it off — what the *enabled* path costs is gated by ``repro perf``'s
+    ``telemetry.sweep_kdom`` ratio.  ``profile_dir`` makes every
     worker cProfile its cells and dump ``worker-<pid>.pstats`` there
     (``repro sweep --profile-workers``).
     """

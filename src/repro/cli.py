@@ -492,6 +492,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str, flag: str) -> tuple:
     """Parse a ``--seeds 0,1,2`` style comma list of integers."""
     try:
@@ -985,20 +993,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         fast=args.fast,
         reps=args.reps,
         output=args.output if args.output is not None else perf.DEFAULT_OUTPUT,
-        baseline_path=(
-            args.baseline if args.baseline is not None else perf.DEFAULT_BASELINE
-        ),
-        gate_factor=(
-            args.gate_factor
-            if args.gate_factor is not None
-            else perf.DEFAULT_GATE_FACTOR
-        ),
         profile=args.profile,
-        no_gate=args.no_gate,
-        obs=args.obs,
         workload=args.workload,
         compare=args.compare,
-        telemetry=args.telemetry,
         history=None if args.no_history else perf.DEFAULT_HISTORY,
     )
 
@@ -1418,39 +1415,24 @@ def make_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(fn=cmd_chaos)
 
     p_perf = sub.add_parser(
-        "perf", help="engine perf smoke suite (writes BENCH_sim.json)"
+        "perf", help="perf smoke suite and ratio gate (writes BENCH_sim.json)"
     )
     p_perf.add_argument("--fast", action="store_true",
                         help="CI-sized workloads")
-    p_perf.add_argument("--reps", type=int, default=3,
+    p_perf.add_argument("--reps", type=_positive_int, default=3,
                         help="repetitions per workload (best is reported)")
     p_perf.add_argument("--output", default=None,
                         help="report path (default: BENCH_sim.json)")
-    p_perf.add_argument("--baseline", default=None,
-                        help="baseline JSON for the regression gate "
-                             "(default: benchmarks/perf_baseline.json)")
-    p_perf.add_argument("--gate-factor", type=float, default=None,
-                        help="fail when a workload exceeds this multiple "
-                             "of its baseline best (default 2.0)")
-    p_perf.add_argument("--no-gate", action="store_true",
-                        help="skip the baseline comparison")
     p_perf.add_argument("--profile", action="store_true",
                         help="cProfile the workloads instead of timing them")
-    p_perf.add_argument("--obs", action="store_true",
-                        help="also measure observability overhead "
-                             "(no-subscriber gate at 5%% over baseline)")
     p_perf.add_argument("--workload", action="append", default=None,
                         metavar="NAME",
                         help="run only this workload (repeatable); the "
-                             "dense-speedup and serve sections are "
-                             "skipped when filtering")
+                             "ratio table and its gate are skipped when "
+                             "filtering")
     p_perf.add_argument("--compare", default=None, metavar="OLD.json",
                         help="after the run, print a per-workload "
                              "speedup table against a previous report")
-    p_perf.add_argument("--telemetry", action="store_true",
-                        help="also measure sweep telemetry overhead and "
-                             "gate the telemetry-off configuration at "
-                             "5%% over baseline")
     p_perf.add_argument("--no-history", action="store_true",
                         help="skip appending this run to the BENCH "
                              "history (BENCH_history.jsonl)")

@@ -214,7 +214,10 @@ def _fastdom_tree_dense(
     )
     parent = np.where(same_cluster, t_parent_row, np.int64(-1))
 
-    in_dom, dom_metrics = dense_cluster_domination(csr, owner, parent, k)
+    domination = dense_cluster_domination(csr, parent, k)
+    if domination is None:  # pragma: no cover - clusters are subtrees
+        raise ValueError("cluster parent map contains a cycle")
+    in_dom, dom_metrics = domination
     staged.record("cluster-domination", dom_metrics)
     counts = np.bincount(owner[in_dom], minlength=n)
     for cluster in clusters_partition:

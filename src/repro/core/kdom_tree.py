@@ -320,7 +320,9 @@ def tree_kdominating_set(
         if current_observation() is None:
             parent = plan_tree_kdom(graph, root, parent_of)
             if parent is not None:
-                return _tree_kdominating_set_dense(graph, parent, k, staged)
+                done = _tree_kdominating_set_dense(graph, parent, k, staged)
+                if done is not None:
+                    return done
     elif backend != "reference":
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -346,7 +348,7 @@ def tree_kdominating_set(
 
 def _tree_kdominating_set_dense(
     graph: Graph, parent, k: int, staged: StagedRun
-) -> Tuple[Set[Any], Partition, StagedRun]:
+) -> Optional[Tuple[Set[Any], Partition, StagedRun]]:
     from ..sim.dense.core import np
     from ..sim.dense.csr import csr_adjacency
     from ..sim.dense.forest import (
@@ -356,12 +358,15 @@ def _tree_kdominating_set_dense(
     )
 
     csr = csr_adjacency(graph)
-    owner = np.zeros(csr.n, dtype=np.int64)  # one cluster: the tree
-    in_dom, dp_metrics = dense_cluster_domination(csr, owner, parent, k)
+    domination = dense_cluster_domination(csr, parent, k)
+    if domination is None:  # a parent cycle: the engine hangs its own way
+        return None
+    in_dom, dp_metrics = domination
     staged.record("kdom-dp", dp_metrics)
     nodes = csr.nodes
     dominators = {nodes[row] for row in np.flatnonzero(in_dom).tolist()}
 
+    owner = np.zeros(csr.n, dtype=np.int64)  # one cluster: the tree
     label, _dist, wave_metrics = nearest_dominator_wave(csr, owner, in_dom, k)
     staged.record("kdom-partition", wave_metrics)
     if (label < 0).any():  # pragma: no cover - the DP is exactly k-dominating

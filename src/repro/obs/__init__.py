@@ -11,7 +11,7 @@ first-class visibility into that accounting:
   hook points inside :mod:`repro.sim.network`'s hot path — the hooks are
   single ``is not None`` checks that collapse to no-ops when no
   subscriber is attached, so ``repro perf`` numbers are unaffected (the
-  contract is itself measured: see ``repro perf --obs``);
+  contract is itself measured: see ``repro perf``'s ``obs`` ratios);
 * **per-node and per-channel metrics** (:class:`MetricsCollector`) that
   generalize the global :class:`~repro.sim.model.MessageStats` into a
   drill-downable hierarchy, recording both *sent* and *delivered* rounds

@@ -60,9 +60,9 @@ span_end     ``span``
 Every simulation event kind is **model-visible**: it reflects what
 programs did (send, halt, request a wakeup) or what the environment
 did to messages (deliver, fault), never *how* the engine scheduled the
-work.  That is what makes a trace byte-identical between
-``scheduling="full"`` and ``scheduling="active"`` — the property
-``tests/obs/test_equivalence.py`` pins.  Fabric and span events are
+work.  That is what makes a trace byte-identical between a full sweep
+of every program every round and the engine's active-set scheduler —
+the property ``tests/obs/test_equivalence.py`` pins.  Fabric and span events are
 the exception: they describe the execution layer.  Failure kinds never
 appear unless the fabric actually failed (or chaos was injected);
 span kinds appear whenever telemetry-instrumented drivers (sweeps,
@@ -158,8 +158,8 @@ class CountingSubscriber(Subscriber):
     """Counts events by kind without retaining them.
 
     The cheapest non-trivial subscriber — the perf harness attaches one
-    to measure the *subscribed* cost of the event stream
-    (``repro perf --obs``).
+    to measure the *subscribed* cost of the event stream (``repro
+    perf``'s ``obs`` ratios).
     """
 
     def __init__(self) -> None:

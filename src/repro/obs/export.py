@@ -6,7 +6,7 @@ A trace file is one JSON object per line.  Every line has a
 * ``header`` — first line; carries ``"schema"`` (:data:`TRACE_SCHEMA`)
   and a free-form deterministic ``"meta"`` dict (algo, graph spec, seed
   — never timestamps or platform info, so traces of seeded runs are
-  byte-identical across machines and scheduling modes);
+  byte-identical across machines and schedulers);
 * ``event`` — one engine event (see :mod:`repro.obs.events`), streamed
   as it happens;
 * ``phase`` — one composite-timeline span (written when the driver

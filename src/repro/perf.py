@@ -1,46 +1,40 @@
 """Performance smoke suite for the CONGEST simulation engine.
 
-Times the repository's representative workloads — BFS tree construction
-on a path and a grid, ``FastDOM_T`` on a random tree, ``Fast-MST``
-end to end, and a kdom sweep through :mod:`repro.batch` (the
-sweep-throughput number) — and writes a machine-readable report
-(``BENCH_sim.json`` by default).  The suite exists to catch *engine* regressions: each
-workload is deterministic, so wall-clock changes track engine overhead,
-not algorithmic variance.
+Times the repository's representative workloads — the BFS program on a
+path and a grid, ``FastDOM_T`` on a random tree, ``Fast-MST`` end to
+end, a kdom sweep through :mod:`repro.batch`, and the large-n dense
+runs — and writes a machine-readable report (``BENCH_sim.json`` by
+default).  Two sizes are provided: the full suite (the numbers quoted
+in ``docs/performance.md``) and ``--fast``, a seconds-scale variant for
+CI.  On interpreters without numpy the dense workloads are skipped
+with a note, so the suite still runs end to end.
 
-Two sizes are provided: the full suite (the numbers quoted in
-``docs/performance.md``) and ``--fast``, a seconds-scale variant meant
-for CI.  A committed baseline (``benchmarks/perf_baseline.json``) gives
-the regression gate: the run fails if any workload is slower than
-``gate_factor`` (default 2.0) times its baseline best.  The generous
-factor absorbs machine-to-machine variance while still catching
-order-of-magnitude mistakes like losing the active-set scheduler.
+The gate is one rule over one table of ratios (:data:`RATIO_BOUNDS`).
+Each ratio compares two CPU times taken in alternating pairs in the
+same process, so the speed of the host cancels out and other
+processes on a shared host do not count:
 
-The engine carries observability hook points (:mod:`repro.obs`) that
-are supposed to cost nothing when no subscriber is attached.  ``--obs``
-turns that claim into a measurement: it times every workload twice —
-bare (no subscriber; the default numbers already are this
-configuration) and with a :class:`~repro.obs.CountingSubscriber`
-attached — records both in an ``"observability"`` report section, and
-gates the bare numbers at :data:`OBS_GATE_FACTOR` (1.05, i.e. <= 5%
-overhead) against the committed baseline instead of the loose default
-factor.
+* ``obs.*`` — ``BFSTreeProgram`` on a ``Network``, observed by a
+  :class:`~repro.obs.CountingSubscriber` ÷ bare.  The floor holds the
+  no-subscriber overhead contract: a bare engine that pays for the
+  event stream reads closer to 1.  The ceiling bounds what a subscriber
+  costs.
+* ``dense.*`` — reference ÷ dense on the same input, warm.  The floor
+  catches a dense path that falls back to the reference route.
+* ``telemetry.sweep_kdom`` — an inline kdom sweep with fabric
+  telemetry on ÷ off.  The ceiling bounds what telemetry costs; the
+  floor catches a sweep that runs slower with telemetry off than on.
 
-Large-n workloads (``fastdom_dense``, ``bfs_grid_dense``) exercise the
-vectorized backend of :mod:`repro.sim.dense` — 10^5-node trees in the
-fast suite, 10^6-node trees and grids in the full suite — and each
-report entry names the ``backend`` it ran.  The ``"dense_speedup"``
-section times ``FastDOM_T`` on the *same* 10^4-node tree under both
-backends and gates the ratio at :data:`DENSE_SPEEDUP_FLOOR`; the dense
-backend earning its keep is part of the committed record, not a claim.
-On interpreters without numpy the dense workloads (and the speedup
-section) are skipped with a note, so the suite still runs end to end.
+Every bound lies outside the range of its ratio over recorded runs.
+The table runs at fixed sizes whenever ``--workload`` does not filter.
+Absolute slowdowns are not gated here: CI times the perfbench
+workloads of a change against its merge-base on the same runner
+(``scripts/perf_ab.py``).
 
 Usage::
 
-    python -m repro perf              # full suite -> BENCH_sim.json
-    python -m repro perf --fast       # CI-sized, gated against baseline
-    python -m repro perf --fast --obs # + observability overhead check
+    python -m repro perf              # full suite + ratio gate -> BENCH_sim.json
+    python -m repro perf --fast       # CI-sized workloads, same ratio gate
     python -m repro perf --workload fastdom_dense --reps 1  # one workload
     python -m repro perf --compare OLD.json   # per-workload speedup table
     python -m repro perf --profile    # cProfile the hottest workload
@@ -54,6 +48,7 @@ import io
 import json
 import platform
 import pstats
+import statistics
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -68,9 +63,10 @@ from .graphs import (
     random_tree,
 )
 from .mst import fast_mst
-from .primitives.bfs import build_bfs_tree
+from .primitives.bfs import BFSTreeProgram, build_bfs_tree
+from .sim import Network
 
-SCHEMA = "repro-perf-smoke/2"
+SCHEMA = "repro-perf-smoke/3"
 
 #: Schema tag on each BENCH history line (``BENCH_history.jsonl``).
 HISTORY_SCHEMA = "repro-perf-history/1"
@@ -82,41 +78,32 @@ DEFAULT_OUTPUT = "BENCH_sim.json"
 #: rendered by ``repro report --bench``).
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 
-#: Default committed baseline used by the regression gate.
-DEFAULT_BASELINE = "benchmarks/perf_baseline.json"
+#: ratio name -> (floor, ceiling); ``None`` leaves that side open.  A
+#: ratio outside its band fails the run.  Each band lies outside the
+#: range of that ratio over 20 ``repro perf --fast`` runs on a 2-vCPU
+#: host (docs/performance.md gives the ranges).  The dense floors keep
+#: the 2x a fallback to the reference route cannot reach (it reads ~1x).
+RATIO_BOUNDS: Dict[str, Tuple[Optional[float], Optional[float]]] = {
+    "obs.bfs_path": (1.15, 2.5),
+    "obs.bfs_grid": (1.15, 2.5),
+    "dense.fastdom_tree": (2.0, None),
+    "dense.bfs_grid": (2.0, None),
+    "telemetry.sweep_kdom": (0.8, 1.25),
+}
 
-DEFAULT_GATE_FACTOR = 2.0
 
-#: The no-subscriber observability overhead contract: with ``--obs``,
-#: each workload's bare best must stay within 5% of the committed
-#: baseline best (which was recorded on the same class of machine).
-OBS_GATE_FACTOR = 1.05
-
-#: The dense backend must beat the default reference route by at least
-#: this factor on the ``dense_speedup`` measurement (FastDOM_T, n=10^4).
-#: Unobserved, that route runs FastDOM_T without the event engine:
-#: BalancedDOM and both cluster stages are pure-Python ports, so the
-#: reference side is no longer a simulation.  The ratio read 3.2-4.5x
-#: on a 2-vCPU host, 1.6-2.25x above the floor.  A dense path that falls
-#: back to the reference route (~1.1x) fails; a dense path made twice as
-#: slow (2.2-3.2x there) can pass, so this floor guards against the
-#: fallback and slowdowns beyond ~2.3x.
-DENSE_SPEEDUP_FLOOR = 2.0
-
-#: Warm-cache serve throughput may fall to 1/this of the committed
-#: baseline before the ``serve_qps`` gate fails — same tolerance shape
-#: as the workload gate, applied to a rate instead of a duration.
-SERVE_QPS_GATE_FACTOR = 2.0
+def _bfs(graph) -> Callable[[], Any]:
+    """The BFS program on a ``Network`` directly, so the workload times
+    the engine whichever route :func:`build_bfs_tree` takes."""
+    return lambda: Network(graph).run(lambda ctx: BFSTreeProgram(ctx, 0))
 
 
 def _bfs_path(n: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-    graph = path_graph(n)
-    return lambda: build_bfs_tree(graph, 0), {"n": n, "root": 0}
+    return _bfs(path_graph(n)), {"n": n, "root": 0}
 
 
 def _bfs_grid(side: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-    graph = grid_graph(side, side)
-    return lambda: build_bfs_tree(graph, 0), {"side": side, "root": 0}
+    return _bfs(grid_graph(side, side)), {"side": side, "root": 0}
 
 
 def _fastdom_tree(n: int, k: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
@@ -133,27 +120,29 @@ def _fast_mst(n: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
     return lambda: fast_mst(graph), {"n": n, "extra_edge_p": 6.0 / n, "seed": 3}
 
 
+def _sweep_grid(n: int, cells: int):
+    from .batch import SweepGrid
+
+    seeds = tuple(range(cells // 2))
+    return SweepGrid(
+        workload="kdom", specs=(f"tree:n={n}",), seeds=seeds, ks=(2, 4)
+    )
+
+
 def _sweep_kdom(n: int, cells: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
     """Sweep-throughput smoke: a kdom grid through repro.batch, inline.
 
     The inline backend is what a timing workload wants — no pool
     startup noise — and it shares every per-cell code path (cache,
-    workload, metric merge) with the sharded backend, so a regression
-    here is a regression in sweep throughput.  ``cells`` is
+    workload, metric merge) with the sharded backend.  ``cells`` is
     seeds × ks on one tree spec.
     """
-    from .batch import SweepGrid, run_sweep
+    from .batch import run_sweep
 
-    seeds = tuple(range(cells // 2))
-    grid = SweepGrid(
-        workload="kdom",
-        specs=(f"tree:n={n}",),
-        seeds=seeds,
-        ks=(2, 4),
-    )
+    grid = _sweep_grid(n, cells)
     return (
         lambda: run_sweep(grid, store_path=None, backend="inline"),
-        {"n": n, "cells": len(seeds) * 2, "workload": "kdom"},
+        {"n": n, "cells": cells, "workload": "kdom"},
     )
 
 
@@ -270,281 +259,132 @@ def run_suite(
     }
 
 
-def measure_observability(
-    report: Dict[str, Any],
-    fast: bool = False,
-    reps: int = 3,
-    echo: Callable[[str], None] = lambda line: None,
-) -> Dict[str, Any]:
-    """Time every workload with a subscriber attached; return the
-    ``"observability"`` report section.
+# ---------------------------------------------------------------------------
+# The ratio table
+# ---------------------------------------------------------------------------
 
-    The bare (no-subscriber) reference is the suite result already in
-    ``report`` — those timings run with the hook points compiled in but
-    no tap bound, which is exactly the configuration the <= 5% contract
-    is about.  ``observed_seconds`` adds a
-    :class:`~repro.obs.CountingSubscriber`, the cheapest real consumer,
-    so the ratio bounds the event stream's dispatch cost from below.
-    Bare runs skip the engine for SimpleMST, BalancedDOM and FastDOM_T's
-    two cluster stages, and observed runs simulate them, so the
-    ``fastdom_tree``/``fast_mst``/``sweep_kdom`` ratios (not gated)
-    include those stages.
-    """
+def _obs_ratio(name: str):
     from .obs import CountingSubscriber, observe
 
-    section: Dict[str, Any] = {}
-    for name, (builder, full_kwargs, fast_kwargs, backend) in WORKLOADS.items():
-        if name not in report.get("workloads", {}):
-            continue
-        if backend == "dense":
-            # Observed dense runs run the engine by design, so an
-            # "overhead" ratio would time two different engines.  The
-            # contract is about the event engine's hook points; dense
-            # workloads sit outside it.
-            continue
-        kwargs = fast_kwargs if fast else full_kwargs
-        fn, _params = builder(**kwargs)
-        counter = CountingSubscriber()
+    builder, full_kwargs, _fast, _backend = WORKLOADS[name]
+    bare, params = builder(**full_kwargs)
 
-        def observed() -> None:
-            with observe(counter):
-                fn()
+    def observed() -> None:
+        with observe(CountingSubscriber()):
+            bare()
 
-        times = time_workload(observed, reps)
-        best = min(times)
-        base = report["workloads"][name]["best_seconds"]
-        ratio = best / base if base > 0 else float("inf")
-        section[name] = {
-            "base_seconds": base,
-            "observed_seconds": round(best, 6),
-            "observed_times": [round(t, 6) for t in times],
-            "events": counter.total,
-            "overhead_ratio": round(ratio, 3),
-        }
-        echo(
-            f"{name:<14} observed {best:.3f}s vs bare {base:.3f}s "
-            f"({ratio:.2f}x, {counter.total} events)"
-        )
-    return section
+    return observed, bare, params
 
 
-def measure_telemetry_overhead(
-    fast: bool = False,
-    reps: int = 3,
-    echo: Callable[[str], None] = lambda line: None,
-) -> Dict[str, Any]:
-    """Time the kdom sweep with fabric telemetry off and on; return the
-    ``"telemetry"`` report section.
-
-    Mirrors the observability discipline: the metrics registry, spans
-    and status heartbeats must cost (nearly) nothing when disabled —
-    ``telemetry=False`` reduces :func:`repro.batch.run_sweep` to the
-    pre-telemetry code path plus one ``None`` check per cell.  The gate
-    in :func:`main` (``--telemetry``) holds the *off* configuration to
-    :data:`OBS_GATE_FACTOR` of the committed ``sweep_kdom`` baseline,
-    which was recorded before the fabric carried any telemetry at all.
-    """
-    from .batch import SweepGrid, run_sweep
-
-    n, cells = (80, 4) if fast else (300, 8)
-    seeds = tuple(range(cells // 2))
-    grid = SweepGrid(
-        workload="kdom", specs=(f"tree:n={n}",), seeds=seeds, ks=(2, 4)
+def _dense_fastdom_ratio():
+    n, k = 10_000, 4
+    tree = random_tree(n, seed=1)
+    parent = RootedTree.from_graph(tree, 0).parent
+    return (
+        lambda: fastdom_tree(tree, 0, parent, k),
+        lambda: fastdom_tree(tree, 0, parent, k, backend="dense"),
+        {"n": n, "k": k, "seed": 1},
     )
 
-    def sweep(enabled: bool) -> None:
-        run_sweep(
-            grid, store_path=None, backend="inline", telemetry=enabled
-        )
 
-    off_times = time_workload(lambda: sweep(False), reps)
-    on_times = time_workload(lambda: sweep(True), reps)
-    off, on = min(off_times), min(on_times)
-    ratio = on / off if off > 0 else float("inf")
-    echo(
-        f"{'telemetry':<14} off {off:.3f}s vs on {on:.3f}s "
-        f"({ratio:.2f}x, {len(seeds) * 2} cells, n={n})"
+def _dense_bfs_ratio():
+    side = 100
+    graph = grid_graph(side, side)
+    return (
+        lambda: build_bfs_tree(graph, 0),
+        lambda: build_bfs_tree(graph, 0, backend="dense"),
+        {"side": side, "root": 0},
     )
-    return {
-        "n": n,
-        "cells": len(seeds) * 2,
-        "off_seconds": round(off, 6),
-        "off_times": [round(t, 6) for t in off_times],
-        "on_seconds": round(on, 6),
-        "on_times": [round(t, 6) for t in on_times],
-        "overhead_ratio": round(ratio, 3),
-    }
 
 
-def check_telemetry_overhead(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    factor: float = OBS_GATE_FACTOR,
-) -> List[str]:
-    """Gate the telemetry-disabled sweep at ``factor`` x the committed
-    ``sweep_kdom`` baseline — the fabric-telemetry twin of
-    :func:`check_obs_overhead`."""
-    section = report.get("telemetry")
-    if not section:
-        return []
-    mode = report.get("mode")
-    base = baseline.get(mode, {}).get("sweep_kdom") if mode else None
-    if not base:
-        return []
-    allowed = base["best_seconds"] * factor
-    current = section["off_seconds"]
-    if current > allowed:
-        return [
-            f"telemetry: disabled sweep {current:.3f}s exceeds "
-            f"{factor:.2f}x baseline sweep_kdom "
-            f"({base['best_seconds']:.3f}s -> allowed {allowed:.3f}s) — "
-            f"fabric telemetry must cost nothing when off "
-            f"(docs/observability.md)"
-        ]
-    return []
+def _telemetry_ratio():
+    from .batch import run_sweep
+
+    n, cells = 300, 8
+    grid = _sweep_grid(n, cells)
+    return (
+        lambda: run_sweep(
+            grid, store_path=None, backend="inline", telemetry=True
+        ),
+        lambda: run_sweep(
+            grid, store_path=None, backend="inline", telemetry=False
+        ),
+        {"n": n, "cells": cells, "workload": "kdom"},
+    )
 
 
-def measure_dense_speedup(
-    n: int = 10_000,
-    k: int = 4,
+#: Timed pairs per ratio.
+RATIO_PAIRS = 7
+
+#: ratio name -> (what it divides, builder returning (numerator,
+#: denominator, params)).  Dense ratios need numpy.
+RATIOS: Dict[str, Tuple[str, Callable[[], Any]]] = {
+    "obs.bfs_path": ("observed / bare", lambda: _obs_ratio("bfs_path")),
+    "obs.bfs_grid": ("observed / bare", lambda: _obs_ratio("bfs_grid")),
+    "dense.fastdom_tree": ("reference / dense", _dense_fastdom_ratio),
+    "dense.bfs_grid": ("reference / dense", _dense_bfs_ratio),
+    "telemetry.sweep_kdom": ("telemetry on / off", _telemetry_ratio),
+}
+
+
+def cpu_seconds(fn: Callable[[], Any]) -> float:
+    """CPU time of one call of ``fn`` in this process, after a full
+    ``gc.collect()``.  Unlike wall time it does not count the time other
+    processes hold the CPU, which dominates the noise on a shared host."""
+    gc.collect()
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+
+def measure_ratios(
     echo: Callable[[str], None] = lambda line: None,
 ) -> Dict[str, Any]:
-    """Time ``FastDOM_T`` on one tree under both backends; return the
-    ``"dense_speedup"`` report section.
+    """Time both sides of every ratio; return the ``"ratios"`` section.
 
-    This is the head-to-head number behind the dense backend: the same
-    10^4-node random tree, the same k, the default reference route
-    versus array rounds, one rep each.  Unobserved, the reference route
-    skips the event engine for BalancedDOM and both cluster stages, so
-    this compares the pure-Python ports with the numpy kernels.  The
-    gate in :func:`main` requires ``speedup >=``
-    :data:`DENSE_SPEEDUP_FLOOR`.
+    Each side first runs once untimed, so lazy imports and caches (the
+    dense CSR view among them) are warm.  Then :data:`RATIO_PAIRS`
+    pairs run, one call of each side, and the ratio is the median over
+    pairs of numerator ÷ denominator CPU time.
     """
     from .sim.dense import HAVE_NUMPY
 
-    if not HAVE_NUMPY:
-        echo(f"{'dense_speedup':<14} skipped (numpy unavailable)")
-        return {"skipped": "numpy unavailable"}
-    tree = random_tree(n, seed=1)
-    rooted = RootedTree.from_graph(tree, 0)
-    parent = rooted.parent
-    reference = min(
-        time_workload(lambda: fastdom_tree(tree, 0, parent, k), 1)
-    )
-    dense = min(
-        time_workload(
-            lambda: fastdom_tree(tree, 0, parent, k, backend="dense"), 1
-        )
-    )
-    speedup = reference / dense if dense > 0 else float("inf")
-    echo(
-        f"{'dense_speedup':<14} reference {reference:.3f}s vs dense "
-        f"{dense:.3f}s ({speedup:.1f}x, n={n}, k={k})"
-    )
-    return {
-        "n": n,
-        "k": k,
-        "reference_seconds": round(reference, 6),
-        "dense_seconds": round(dense, 6),
-        "speedup": round(speedup, 2),
-    }
-
-
-def measure_serve_qps(
-    fast: bool = False,
-    echo: Callable[[str], None] = lambda line: None,
-) -> Dict[str, Any]:
-    """Load-test a live in-process ``repro serve``; return the
-    ``"serve_qps"`` report section.
-
-    Two phases against one server (inline backend — the server cost,
-    not the pool's): a *cold* pass that computes every distinct cell
-    once, then a *warm* pass of thousands of queries over the same
-    cells, all answered from the result cache.  The gate in
-    :func:`main` holds ``warm_qps`` above ``1/SERVE_QPS_GATE_FACTOR``
-    of the committed baseline — cold throughput is dominated by the
-    algorithm itself and is recorded, not gated.
-    """
-    from .serve import ServeConfig, query_body, run_load, running_server
-
-    distinct = 64 if fast else 256
-    total = 1000 if fast else 4000
-    concurrency = 100
-    spec = "tree:n=16"
-    bodies = [query_body("kdom", spec, seed, 2) for seed in range(distinct)]
-    config = ServeConfig(
-        host="127.0.0.1", port=0, backend="inline", cache_size=distinct * 2
-    )
-    with running_server(config) as server:
-        cold = run_load(
-            "127.0.0.1",
-            server.port,
-            bodies,
-            concurrency=min(concurrency, distinct),
-        )
-        warm = run_load(
-            "127.0.0.1",
-            server.port,
-            [bodies[i % distinct] for i in range(total)],
-            concurrency=concurrency,
-        )
-        cache_hits = server.cache.hits
-    section = {
-        "spec": spec,
-        "distinct_cells": distinct,
-        "warm_requests": total,
-        "concurrency": concurrency,
-        "cold_qps": round(cold["qps"], 1),
-        "cold_seconds": round(cold["seconds"], 6),
-        "warm_qps": round(warm["qps"], 1),
-        "warm_seconds": round(warm["seconds"], 6),
-        "warm_latency_p95_ms": (
-            round(warm["latency_p95_ms"], 3)
-            if warm["latency_p95_ms"] is not None
-            else None
-        ),
-        "errors": cold["errors"] + warm["errors"],
-        "cache_hits": cache_hits,
-    }
-    echo(
-        f"{'serve_qps':<14} cold {cold['qps']:.0f} q/s "
-        f"({distinct} cells), warm {warm['qps']:.0f} q/s "
-        f"({total} queries, c={concurrency})"
-    )
+    section: Dict[str, Any] = {}
+    for name, (divides, build) in RATIOS.items():
+        if name.startswith("dense.") and not HAVE_NUMPY:
+            echo(f"{name:<20} skipped (numpy unavailable)")
+            continue
+        numerator, denominator, params = build()
+        numerator()
+        denominator()
+        pairs = [
+            (cpu_seconds(numerator), cpu_seconds(denominator))
+            for _ in range(RATIO_PAIRS)
+        ]
+        ratio = statistics.median(top / bottom for top, bottom in pairs)
+        section[name] = {
+            "ratio": round(ratio, 3),
+            "divides": divides,
+            "pairs": [[round(top, 6), round(bottom, 6)] for top, bottom in pairs],
+            "params": params,
+        }
+        echo(f"{name:<20} {divides} = {ratio:.2f}x  {params}")
     return section
 
 
-def check_serve_qps(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    factor: float = SERVE_QPS_GATE_FACTOR,
-) -> List[str]:
-    """Gate warm serve throughput at ``1/factor`` of the baseline.
-
-    Same skip rule as :func:`check_regressions`: a mode whose baseline
-    has no ``serve_qps`` entry is not gated.  Any failed request during
-    the load test fails the gate outright — a throughput number built
-    on errors is not a throughput number.
-    """
-    mode = report.get("mode")
-    section = report.get("serve_qps") or {}
-    base = (baseline.get(mode) or {}).get("serve_qps")
-    if not section or not base:
-        return []
+def check_ratios(report: Dict[str, Any]) -> List[str]:
+    """The gate: every measured ratio must lie inside its
+    :data:`RATIO_BOUNDS` band.  Returns one line per ratio outside it."""
     failures = []
-    if section.get("errors"):
-        failures.append(
-            f"serve_qps: {section['errors']} failed request(s) during "
-            f"the load test"
-        )
-    floor = base["warm_qps"] / factor
-    warm = section.get("warm_qps", 0.0)
-    if warm < floor:
-        failures.append(
-            f"serve_qps: warm {warm:.0f} q/s below baseline "
-            f"{base['warm_qps']:.0f} q/s / {factor:.1f} "
-            f"(floor {floor:.0f} q/s)"
-        )
+    for name, entry in report.get("ratios", {}).items():
+        floor, ceiling = RATIO_BOUNDS[name]
+        ratio = entry["ratio"]
+        if floor is not None and ratio < floor:
+            failures.append(f"{name}: {ratio:.2f}x below its floor {floor:.2f}x")
+        if ceiling is not None and ratio > ceiling:
+            failures.append(
+                f"{name}: {ratio:.2f}x above its ceiling {ceiling:.2f}x"
+            )
     return failures
 
 
@@ -604,8 +444,9 @@ def history_entry(
             name: result["best_seconds"]
             for name, result in report.get("workloads", {}).items()
         },
-        "dense_speedup": report.get("dense_speedup", {}).get("speedup"),
-        "serve_qps": report.get("serve_qps", {}).get("warm_qps"),
+        "dense_speedup": (
+            report.get("ratios", {}).get("dense.fastdom_tree", {}).get("ratio")
+        ),
     }
 
 
@@ -739,42 +580,6 @@ def perf_trajectory(
     return lines
 
 
-def check_obs_overhead(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    factor: float = OBS_GATE_FACTOR,
-) -> List[str]:
-    """Gate the no-subscriber configuration at ``factor`` x baseline.
-
-    This is the enforcement of the observability overhead contract: the
-    report's bare workload timings (hooks present, no subscriber) must
-    stay within ``factor`` (default 1.05) of the committed baseline
-    best.  Same skip rule as :func:`check_regressions` for workloads
-    missing from the baseline.
-    """
-    mode = report.get("mode")
-    reference = baseline.get(mode, {}) if mode else {}
-    failures = []
-    for name, result in report.get("workloads", {}).items():
-        base = reference.get(name)
-        if not base:
-            continue
-        if result.get("backend") == "dense":
-            # No hook points on the dense path; the loose gate in
-            # check_regressions already covers these workloads.
-            continue
-        allowed = base["best_seconds"] * factor
-        current = result["best_seconds"]
-        if current > allowed:
-            failures.append(
-                f"{name}: no-subscriber {current:.3f}s exceeds "
-                f"{factor:.2f}x baseline ({base['best_seconds']:.3f}s -> "
-                f"allowed {allowed:.3f}s) — instrumentation overhead "
-                f"contract (docs/observability.md) violated"
-            )
-    return failures
-
-
 def profile_suite(
     fast: bool = False, top: int = 25, only: Optional[List[str]] = None
 ) -> str:
@@ -803,7 +608,7 @@ def write_report(report: Dict[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def load_baseline(path: str) -> Optional[Dict[str, Any]]:
+def load_report(path: str) -> Optional[Dict[str, Any]]:
     try:
         with open(path) as handle:
             return json.load(handle)
@@ -811,56 +616,23 @@ def load_baseline(path: str) -> Optional[Dict[str, Any]]:
         return None
 
 
-def check_regressions(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-) -> List[str]:
-    """Compare a report against a baseline of the same mode.
-
-    Returns a list of human-readable regression descriptions (empty when
-    the gate passes).  Workloads absent from the baseline are skipped —
-    adding a workload must not retroactively fail the gate.
-    """
-    mode = report.get("mode")
-    reference = baseline.get(mode, {}) if mode else {}
-    failures = []
-    for name, result in report.get("workloads", {}).items():
-        base = reference.get(name)
-        if not base:
-            continue
-        allowed = base["best_seconds"] * gate_factor
-        current = result["best_seconds"]
-        if current > allowed:
-            failures.append(
-                f"{name}: {current:.3f}s exceeds {gate_factor:.1f}x "
-                f"baseline ({base['best_seconds']:.3f}s -> allowed "
-                f"{allowed:.3f}s)"
-            )
-    return failures
-
-
 def main(
     fast: bool = False,
     reps: int = 3,
     output: str = DEFAULT_OUTPUT,
-    baseline_path: str = DEFAULT_BASELINE,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
     profile: bool = False,
-    no_gate: bool = False,
-    obs: bool = False,
     workload: Optional[List[str]] = None,
     compare: Optional[str] = None,
-    telemetry: bool = False,
     history: Optional[str] = DEFAULT_HISTORY,
 ) -> int:
-    """Run the suite, write the report, apply the regression gate.
+    """Run the suite and the ratio table, write the report, apply the
+    ratio gate.
 
-    ``workload`` restricts the suite to the named workloads (the
-    auxiliary dense-speedup and serve sections are then skipped); ``compare`` prints a per-workload speedup table against a
-    previously written report after the run.  ``telemetry`` adds the
-    sweep telemetry-overhead section and its disabled-cost gate;
-    ``history`` appends the run to the BENCH history (``None`` skips).
+    ``workload`` restricts the suite to the named workloads; the ratio
+    table, and so the gate, is then skipped.  ``compare`` prints a
+    per-workload speedup table against a previously written report
+    after the run; ``history`` appends the run to the BENCH history
+    (``None`` skips).
     """
     try:
         select_workloads(workload)
@@ -872,67 +644,24 @@ def main(
         return 0
     report = run_suite(fast=fast, reps=reps, echo=print, only=workload)
     if not workload:
-        report["dense_speedup"] = measure_dense_speedup(echo=print)
-        report["serve_qps"] = measure_serve_qps(fast=fast, echo=print)
-    if obs:
-        report["observability"] = measure_observability(
-            report, fast=fast, reps=reps, echo=print
-        )
-    if telemetry:
-        report["telemetry"] = measure_telemetry_overhead(
-            fast=fast, reps=reps, echo=print
-        )
+        report["ratios"] = measure_ratios(echo=print)
     write_report(report, output)
     print(f"wrote {output}")
     if history:
         append_history(report, history)
         print(f"appended history -> {history}")
     if compare is not None:
-        old = load_baseline(compare)
+        old = load_report(compare)
         if old is None:
             print(f"no report at {compare}; comparison skipped")
         else:
             for line in compare_reports(old, report):
                 print(line)
-    if no_gate:
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; gate skipped")
-        return 0
-    if baseline.get("schema") != SCHEMA:
-        print(
-            f"baseline schema {baseline.get('schema')!r} != {SCHEMA!r}; "
-            f"gate skipped — re-record {baseline_path}"
-        )
-        return 0
-    failures = check_regressions(report, baseline, gate_factor)
-    failures += check_serve_qps(report, baseline)
-    if obs:
-        failures += check_obs_overhead(report, baseline)
-    if telemetry:
-        failures += check_telemetry_overhead(report, baseline)
-    speedup_section = report.get("dense_speedup", {})
-    speedup = speedup_section.get("speedup")
-    if speedup is not None and speedup < DENSE_SPEEDUP_FLOOR:
-        failures.append(
-            f"dense_speedup: {speedup:.2f}x below the "
-            f"{DENSE_SPEEDUP_FLOOR:.0f}x floor (reference "
-            f"{speedup_section['reference_seconds']:.3f}s, dense "
-            f"{speedup_section['dense_seconds']:.3f}s)"
-        )
+    failures = check_ratios(report)
     if failures:
         for failure in failures:
             print(f"REGRESSION  {failure}", file=sys.stderr)
         return 1
-    gates = f"{gate_factor:.1f}x"
-    if obs:
-        gates += f" + obs {OBS_GATE_FACTOR:.2f}x"
-    if telemetry:
-        gates += f" + telemetry-off {OBS_GATE_FACTOR:.2f}x"
-    if speedup is not None:
-        gates += f" + dense {DENSE_SPEEDUP_FLOOR:.0f}x floor"
-    if report.get("serve_qps"):
-        gates += f" + serve 1/{SERVE_QPS_GATE_FACTOR:.1f}x qps floor"
-    print(f"gate passed ({gates} vs {baseline_path})")
+    if "ratios" in report:
+        print(f"ratio gate passed ({len(report['ratios'])} ratios in bounds)")
     return 0

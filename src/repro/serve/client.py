@@ -3,8 +3,8 @@
 ``run_load`` drives many concurrent keep-alive connections at one
 server, pulling query bodies from a shared iterator, and returns
 throughput/latency/error aggregates.  It backs the ``benchmarks/
-serve_load.py`` generator, the ``serve_qps`` perf workload, and the CI
-``serve-smoke`` job — stdlib only, like the server.
+serve_load.py`` generator and the CI ``serve-smoke`` job — stdlib only,
+like the server.
 """
 
 from __future__ import annotations

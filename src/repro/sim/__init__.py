@@ -29,7 +29,7 @@ from .faults import (
 )
 from .metrics import PhaseBreakdown, RunMetrics
 from .model import DEFAULT_WORD_LIMIT, Envelope, MessageStats, measure_words
-from .network import DEFAULT_MAX_ROUNDS, SCHEDULING_MODES, Network
+from .network import DEFAULT_MAX_ROUNDS, Network
 from .program import Context, IdleProgram, NodeProgram, ScriptedProgram, split_by_tag
 from .reliable import (
     RELIABLE_HEADER_WORDS,
@@ -78,7 +78,6 @@ __all__ = [
     "ReliableProgram",
     "RoundLimitExceeded",
     "RunMetrics",
-    "SCHEDULING_MODES",
     "RunReport",
     "ScriptedProgram",
     "SimulationError",

@@ -188,8 +188,9 @@ def plan_tree_kdom(graph, root, parent_of) -> Optional[Any]:
     """``row -> parent row`` for a single tree, or ``None`` when the
     parent map falls outside the reference program's happy path (a root
     the graph lacks, missing parents, a parented root, parent edges
-    absent from the graph, a parent cycle) — those inputs must fail or
-    hang in the engine's own way."""
+    absent from the graph) — those inputs must fail in the engine's own
+    way.  A parent cycle passes here; :func:`dense_cluster_domination`
+    reports it."""
     csr = csr_adjacency(graph)
     if root not in csr.index:
         return None
@@ -208,8 +209,6 @@ def plan_tree_kdom(graph, root, parent_of) -> Optional[Any]:
     has_edge = np.zeros(n, dtype=bool)
     has_edge[sources[parent[sources] == targets]] = True
     if not bool(has_edge[parent >= 0].all()):
-        return None
-    if forest_heights(parent, n) is None:
         return None
     return parent
 
@@ -240,12 +239,14 @@ def partition_from_labels(csr: CSRAdjacency, label: Any):
 
 
 def dense_cluster_domination(
-    csr: CSRAdjacency, owner: Any, parent: Any, k: int
-) -> Tuple[Any, RunMetrics]:
-    """All per-cluster DP runs at once; returns (in_dom, merged metrics)."""
+    csr: CSRAdjacency, parent: Any, k: int
+) -> Optional[Tuple[Any, RunMetrics]]:
+    """All per-cluster DP runs at once; returns (in_dom, merged
+    metrics), or ``None`` when ``parent`` contains a cycle (the
+    reference program would hang)."""
     grown = forest_heights(parent, csr.n)
-    if grown is None:  # pragma: no cover - clusters are subtrees
-        raise ValueError("cluster parent map contains a cycle")
+    if grown is None:
+        return None
     heights, _depth = grown
     levels = _group_by_level(heights, int(heights.max()) + 1)
     in_dom = kdom_dp(parent, levels, k)

@@ -33,9 +33,10 @@ Engine internals (docs/performance.md has the full story):
   nodes as halts are observed, so ``all_halted()`` and the run loop's
   settledness check are O(1) instead of an O(n) rescan per round.
 
-All of this is invisible to programs: scheduling mode, indexing and
+All of this is invisible to programs: scheduling, indexing and
 bucketing change *how fast* a round executes, never *what* it computes
-(see tests/sim/test_scheduler_equivalence.py).
+(tests/sim/test_scheduler_equivalence.py compares the active-set
+scheduler with a full sweep of every program every round).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from .errors import (
-    ConfigurationError,
     CongestionViolation,
     HaltedNodeActed,
     MessageTooLarge,
@@ -66,9 +66,6 @@ from ..obs.session import Tap, bind as _obs_bind
 #: terminate far earlier, and hitting the budget indicates a livelock.
 DEFAULT_MAX_ROUNDS = 1_000_000
 
-#: Scheduling modes accepted by :class:`Network`.
-SCHEDULING_MODES = ("active", "full")
-
 ProgramFactory = Callable[[Context], NodeProgram]
 
 
@@ -85,39 +82,17 @@ class Network:
     converts round-budget exhaustion into a report rather than an
     exception.  When absent, every fault-handling branch is skipped and
     the network behaves exactly as the fault-free simulator.
-
-    ``scheduling`` selects the round scheduler: ``"active"`` (the
-    default) honours each program's ``TICK_EVERY_ROUND`` declaration and
-    skips idle message-driven programs; ``"full"`` forces the classic
-    every-program-every-round sweep.  The two are observationally
-    identical for correct programs — ``"full"`` exists as the reference
-    the equivalence suite compares against (and as a big hammer when
-    debugging a mis-declared program).  ``None`` falls back to
-    :attr:`Network.default_scheduling`, which tests may patch to force a
-    mode through drivers that build their networks internally.
     """
-
-    #: Class-wide fallback for the ``scheduling`` constructor argument.
-    default_scheduling = "active"
 
     def __init__(
         self,
         graph,
         word_limit: int = DEFAULT_WORD_LIMIT,
         faults: Optional[FaultInjector] = None,
-        scheduling: Optional[str] = None,
     ):
-        if scheduling is None:
-            scheduling = type(self).default_scheduling
-        if scheduling not in SCHEDULING_MODES:
-            raise ConfigurationError(
-                f"scheduling must be one of {SCHEDULING_MODES}, "
-                f"got {scheduling!r}"
-            )
         self.graph = graph
         self.word_limit = word_limit
         self.faults = faults
-        self.scheduling = scheduling
         self.nodes: List[Any] = sorted(graph.nodes)
         self.n = len(self.nodes)
         # Dense indexing: node id -> contiguous index, in sorted order,
@@ -304,12 +279,9 @@ class Network:
             self.programs[v] = program
         self._progs = progs
         self._inboxes = [[] for _ in range(self.n)]
-        full_sweep = self.scheduling == "full"
         self._unhalted = set(range(self.n))
         self._always = {
-            i
-            for i, program in enumerate(progs)
-            if full_sweep or program.TICK_EVERY_ROUND
+            i for i, program in enumerate(progs) if program.TICK_EVERY_ROUND
         }
         for i, program in enumerate(progs):
             if not program.halted:

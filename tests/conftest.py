@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from repro.graphs import (
     star_graph,
     tree_from_pruefer,
 )
+from repro.sim import Network
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +41,32 @@ def weighted_graph() -> Graph:
 @pytest.fixture
 def weighted_grid() -> Graph:
     return assign_unique_weights(grid_graph(7, 8), seed=5)
+
+
+@contextmanager
+def scheduling(mode: str):
+    """Run the block under the engine's ``"active"`` scheduler (a no-op)
+    or a ``"full"`` sweep that invokes every unhalted program every
+    round.
+
+    The full sweep is the reference active-set scheduling must be
+    observationally identical to.  It patches :meth:`Network.setup`, so
+    it also reaches drivers that build their networks internally.
+    """
+    if mode == "active":
+        yield
+        return
+    setup = Network.setup
+
+    def setup_full_sweep(self, program_factory):
+        setup(self, program_factory)
+        self._always = set(self._unhalted)
+
+    Network.setup = setup_full_sweep
+    try:
+        yield
+    finally:
+        Network.setup = setup
 
 
 TREE_CASES = [

@@ -3,8 +3,8 @@
 Three properties are pinned here:
 
 1. **Scheduling transparency** — every event kind is model-visible, so
-   a seeded run exports a *byte-identical* JSONL trace under
-   ``scheduling="full"`` and ``scheduling="active"``, clean or faulted.
+   a seeded run exports a *byte-identical* JSONL trace under a full
+   sweep and the active-set scheduler, clean or faulted.
 2. **Observer transparency** — attaching subscribers must not change
    the run itself (rounds, traffic, outputs).
 3. **Observation scope** — an observation reaches only the thread that
@@ -20,6 +20,8 @@ from repro.obs import CountingSubscriber, JsonlTraceWriter, observe
 from repro.primitives.flooding import FloodProgram
 from repro.sim import FaultConfig, FaultInjector, Network
 
+from ..conftest import scheduling as scheduled
+
 
 FAULTY = dict(
     drop_rate=0.2, duplicate_rate=0.1, delay_rate=0.2, max_delay=2,
@@ -31,9 +33,9 @@ def flood_jsonl(scheduling, config=None):
     """Seeded flood on a path; return the exported trace text."""
     sink = io.StringIO()
     writer = JsonlTraceWriter(sink, meta={"scheduling": "elided"})
-    with observe(writer):
+    with scheduled(scheduling), observe(writer):
         faults = FaultInjector(config) if config else None
-        net = Network(path_graph(8), faults=faults, scheduling=scheduling)
+        net = Network(path_graph(8), faults=faults)
         net.run(lambda ctx: FloodProgram(ctx, 0, value=7), max_rounds=200)
     return sink.getvalue()
 

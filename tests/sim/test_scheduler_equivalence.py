@@ -1,8 +1,8 @@
 """Active-set scheduling is an implementation optimisation, not a model
 change: every protocol must produce byte-identical results whether the
-engine sweeps all nodes each round (``scheduling="full"``) or invokes
-only nodes with traffic, matured wakeups, or ``TICK_EVERY_ROUND``
-(``scheduling="active"``).
+engine sweeps all nodes each round (the ``scheduling("full")`` test
+helper) or invokes only nodes with traffic, matured wakeups, or
+``TICK_EVERY_ROUND`` (the engine's active-set scheduler).
 
 This suite pins that contract for every flagged program in the
 repository — the primitives, the converted scripted programs
@@ -33,6 +33,8 @@ from repro.primitives.echo import HopLimitedEchoProgram
 from repro.primitives.flooding import FloodProgram
 from repro.sim import FaultConfig, FaultInjector, Network
 
+from ..conftest import scheduling as scheduled
+
 
 def run_both(graph, factory, faults_config=None, **run_kwargs):
     """Run ``factory`` under full-sweep and active scheduling; return
@@ -42,8 +44,9 @@ def run_both(graph, factory, faults_config=None, **run_kwargs):
         faults = (
             FaultInjector(faults_config) if faults_config is not None else None
         )
-        network = Network(graph, faults=faults, scheduling=scheduling)
-        metrics = network.run(factory, **run_kwargs)
+        network = Network(graph, faults=faults)
+        with scheduled(scheduling):
+            metrics = network.run(factory, **run_kwargs)
         results.append((network, metrics))
     return results
 
@@ -136,16 +139,15 @@ class TestScriptedProgramsEquivalent:
         )
         assert_equivalent(graph, lambda ctx: SimpleMSTProgram(ctx, 6))
 
-    def test_simple_mst_forest_driver(self, monkeypatch):
+    def test_simple_mst_forest_driver(self):
         graph = assign_unique_weights(
             random_connected_graph(40, 0.1, seed=21), seed=22
         )
         runs = {}
         for scheduling in ("full", "active"):
-            monkeypatch.setattr(Network, "default_scheduling", scheduling)
             # Unobserved, the driver skips the engine; observed, it runs
             # SimpleMSTProgram under the patched scheduler.
-            with observe():
+            with scheduled(scheduling), observe():
                 parents, fragments, network = simple_mst_forest(graph, 5)
             assert isinstance(network.programs[0], SimpleMSTProgram)
             runs[scheduling] = (
@@ -159,12 +161,13 @@ class TestScriptedProgramsEquivalent:
 
 class TestCompositeDriverEquivalent:
     @staticmethod
-    def fastdom_runs(monkeypatch, observed):
+    def fastdom_runs(observed):
         tree, parent = rooted(70, seed=2)
         runs = {}
         for scheduling in ("full", "active"):
-            monkeypatch.setattr(Network, "default_scheduling", scheduling)
-            with observe() if observed else nullcontext() as obs:
+            with scheduled(scheduling), (
+                observe() if observed else nullcontext()
+            ) as obs:
                 dominators, partition, staged = fastdom_tree(tree, 0, parent, 3)
             if observed:
                 ran = {
@@ -188,17 +191,17 @@ class TestCompositeDriverEquivalent:
             )
         return runs
 
-    def test_fastdom_tree(self, monkeypatch):
-        runs = self.fastdom_runs(monkeypatch, observed=False)
+    def test_fastdom_tree(self):
+        runs = self.fastdom_runs(observed=False)
         assert runs["active"] == runs["full"]
 
-    def test_fastdom_tree_observed(self, monkeypatch):
+    def test_fastdom_tree_observed(self):
         # Unobserved, BalancedDOM and the cluster stages skip the engine;
         # observed, SmallDomSetProgram, TreeKDomProgram and
         # NearestDominatorProgram run under the patched scheduler.
-        runs = self.fastdom_runs(monkeypatch, observed=True)
+        runs = self.fastdom_runs(observed=True)
         assert runs["active"] == runs["full"]
-        assert runs["full"] == self.fastdom_runs(monkeypatch, observed=False)["full"]
+        assert runs["full"] == self.fastdom_runs(observed=False)["full"]
 
 
 class TestEquivalenceUnderFaults:
@@ -270,7 +273,7 @@ class TestWakeupScheduling:
                 invocations[self.node].append(self.round)
                 self.halt()
 
-        network = Network(path_graph(3), scheduling="active")
+        network = Network(path_graph(3))
         network.run(Probe, max_rounds=10, stop_when_quiet=True)
         assert invocations[0] == [3]
         assert invocations[1] == []
@@ -302,7 +305,7 @@ class TestWakeupScheduling:
                 invoked.append((self.node, self.round))
                 self.halt()
 
-        network = Network(path_graph(4), scheduling="active")
+        network = Network(path_graph(4))
         network.run(Quiet, max_rounds=10, stop_when_quiet=True)
         # Only node 1 (the receiver) is ever invoked.
         assert invoked == [(1, 1)]

@@ -2,7 +2,7 @@
 
 "Activity" here means model-visible activity (send / deliver / wakeup /
 halt) as :mod:`repro.obs` sees it — the definition that is identical
-under ``scheduling="full"`` and ``scheduling="active"``.  Counting
+under a full sweep and the active-set scheduler.  Counting
 program invocations instead would list :class:`Bursty`'s stalled
 round 2 as active under full scheduling only; this suite pins the
 absence of that difference.
@@ -11,6 +11,8 @@ absence of that difference.
 from repro.graphs import Graph
 from repro.obs import MetricsCollector, TraceBuffer
 from repro.sim import Network, NodeProgram
+
+from ..conftest import scheduling as scheduled
 
 #: Event kinds that make a node model-visibly active in a round.
 ACTIVITY = ("send", "deliver", "wakeup", "halt")
@@ -43,10 +45,11 @@ class Bursty(NodeProgram):
 def observed_run(factory, scheduling="active"):
     """Run ``factory`` on :func:`pair` with a buffer and a collector attached."""
     buffer, collector = TraceBuffer(), MetricsCollector()
-    net = Network(pair(), scheduling=scheduling)
+    net = Network(pair())
     net.attach_subscriber(buffer)
     net.attach_subscriber(collector)
-    net.run(factory)
+    with scheduled(scheduling):
+        net.run(factory)
     return buffer, collector
 
 

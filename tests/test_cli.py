@@ -235,14 +235,20 @@ class TestTraceCommand:
 class TestPerfFlags:
     def test_unknown_workload_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = main(["perf", "--fast", "--workload", "nope", "--no-gate"])
+        code = main(["perf", "--fast", "--workload", "nope"])
         assert code == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_2(self, reps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--fast", "--reps", reps, "--workload", "bfs_path"])
+        assert exc.value.code == 2
+        assert "--reps: must be >= 1" in capsys.readouterr().err
+
     def test_workload_filter_and_compare(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        args = ["perf", "--fast", "--reps", "1", "--workload", "bfs_path",
-                "--no-gate"]
+        args = ["perf", "--fast", "--reps", "1", "--workload", "bfs_path"]
         assert main(args) == 0
         capsys.readouterr()
         assert main(args + ["--compare", "BENCH_sim.json"]) == 0

@@ -1,9 +1,9 @@
 """Perf smoke harness mechanics (repro.perf): workload selection,
-report comparison, gate rules, and the v2 schema contract.
+report comparison, the ratio gate, and the v3 schema contract.
 
-The timing numbers themselves are exercised by CI's perf-smoke and
-large-n-smoke jobs; here we pin the *logic* — filters, skip rules, and
-the staleness behaviour of the schema gate — on synthetic reports."""
+The timing numbers themselves are exercised by CI's perf-smoke job;
+here we pin the *logic* — filters, the ratio rule and its messages —
+on synthetic reports."""
 
 import json
 
@@ -70,41 +70,45 @@ class TestCompareReports:
         assert lines[0].startswith("note: comparing mode='full'")
 
 
+def ratios(**values):
+    return {name.replace("__", "."): {"ratio": ratio}
+            for name, ratio in values.items()}
+
+
 class TestGates:
     def test_regression_detected(self):
-        current = report(a=(3.0, "reference"))
-        baseline = {"fast": {"a": {"best_seconds": 1.0}}}
-        failures = perf.check_regressions(current, baseline)
-        assert len(failures) == 1 and "a:" in failures[0]
+        # One failure per ratio outside its band, naming the ratio and
+        # the bound it crossed.
+        doc = report()
+        doc["ratios"] = ratios(
+            dense__fastdom_tree=1.1, obs__bfs_path=9.0, obs__bfs_grid=1.5
+        )
+        failures = perf.check_ratios(doc)
+        assert failures == [
+            "dense.fastdom_tree: 1.10x below its floor 2.00x",
+            "obs.bfs_path: 9.00x above its ceiling "
+            f"{perf.RATIO_BOUNDS['obs.bfs_path'][1]:.2f}x",
+        ]
 
-    def test_workload_missing_from_baseline_is_skipped(self):
-        # Adding a workload (the dense rows) must not retroactively
-        # fail the gate before the baseline is re-recorded.
-        current = report(brand_new=(99.0, "dense"))
-        assert perf.check_regressions(current, {"fast": {}}) == []
+    def test_ratio_missing_from_report_is_skipped(self):
+        # A numpy-less run measures no dense ratio; the rest still gate.
+        doc = report()
+        doc["ratios"] = ratios(obs__bfs_grid=1.5)
+        assert perf.check_ratios(doc) == []
 
-    def test_obs_gate_skips_dense_workloads(self):
-        current = report(d=(9.0, "dense"), r=(9.0, "reference"))
-        baseline = {
-            "fast": {
-                "d": {"best_seconds": 1.0},
-                "r": {"best_seconds": 1.0},
-            }
-        }
-        failures = perf.check_obs_overhead(current, baseline)
-        assert len(failures) == 1 and failures[0].startswith("r:")
+    def test_every_measured_ratio_has_a_band(self):
+        assert set(perf.RATIOS) == set(perf.RATIO_BOUNDS)
+        for floor, ceiling in perf.RATIO_BOUNDS.values():
+            assert floor is None or ceiling is None or floor < ceiling
 
 
 class TestMainGateRules:
-    def run_main(self, tmp_path, monkeypatch, baseline, **kwargs):
+    def run_main(self, tmp_path, monkeypatch, **kwargs):
         monkeypatch.chdir(tmp_path)
-        if baseline is not None:
-            (tmp_path / "baseline.json").write_text(json.dumps(baseline))
         return perf.main(
             fast=True,
             reps=1,
             output=str(tmp_path / "out.json"),
-            baseline_path=str(tmp_path / "baseline.json"),
             workload=["bfs_path"],
             **kwargs,
         )
@@ -113,23 +117,32 @@ class TestMainGateRules:
         assert perf.main(workload=["nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_stale_schema_skips_gate(self, tmp_path, monkeypatch, capsys):
-        # The staleness fix: a baseline recorded under the v1 schema
-        # (different workload arity/platform) must not produce bogus
-        # regression failures — the gate asks for a re-record instead.
-        stale = {"schema": "repro-perf-smoke/1", "fast": {}}
-        assert self.run_main(tmp_path, monkeypatch, stale) == 0
-        out = capsys.readouterr().out
-        assert "gate skipped — re-record" in out
+    def test_workload_run_has_no_ratio_gate(self, tmp_path, monkeypatch):
+        def unreachable(**kwargs):  # pragma: no cover - the filter skips it
+            raise AssertionError("a --workload run measured the ratios")
 
-    def test_missing_baseline_skips_gate(self, tmp_path, monkeypatch, capsys):
-        assert self.run_main(tmp_path, monkeypatch, None) == 0
-        assert "gate skipped" in capsys.readouterr().out
+        monkeypatch.setattr(perf, "measure_ratios", unreachable)
+        assert self.run_main(tmp_path, monkeypatch) == 0
+        written = json.loads((tmp_path / "out.json").read_text())
+        assert "ratios" not in written
+
+    def test_ratio_outside_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(perf, "run_suite", lambda **kwargs: report())
+        monkeypatch.setattr(
+            perf,
+            "measure_ratios",
+            lambda **kwargs: ratios(telemetry__sweep_kdom=3.0),
+        )
+        assert perf.main(output=str(tmp_path / "out.json"), history=None) == 1
+        assert "REGRESSION  telemetry.sweep_kdom: 3.00x above its ceiling" in (
+            capsys.readouterr().err
+        )
 
     def test_report_carries_schema_and_backend(self, tmp_path, monkeypatch):
-        self.run_main(tmp_path, monkeypatch, None)
+        self.run_main(tmp_path, monkeypatch)
         written = json.loads((tmp_path / "out.json").read_text())
-        assert written["schema"] == perf.SCHEMA
+        assert written["schema"] == perf.SCHEMA == "repro-perf-smoke/3"
         assert written["workloads"]["bfs_path"]["backend"] == "reference"
 
     def test_compare_prints_table(self, tmp_path, monkeypatch, capsys):
@@ -138,7 +151,6 @@ class TestMainGateRules:
         self.run_main(
             tmp_path,
             monkeypatch,
-            None,
             compare=str(tmp_path / "old.json"),
         )
         out = capsys.readouterr().out
@@ -146,34 +158,30 @@ class TestMainGateRules:
 
 
 class TestTelemetryGate:
-    def current(self, off_seconds):
-        doc = report(sweep_kdom=(1.0, "reference"))
-        doc["telemetry"] = {"off_seconds": off_seconds, "on_seconds": 1.0}
+    def current(self, ratio):
+        doc = report()
+        doc["ratios"] = ratios(telemetry__sweep_kdom=ratio)
         return doc
 
     def test_within_factor_passes(self):
-        baseline = {"fast": {"sweep_kdom": {"best_seconds": 1.0}}}
-        assert perf.check_telemetry_overhead(
-            self.current(1.04), baseline
-        ) == []
+        assert perf.check_ratios(self.current(1.04)) == []
 
     def test_disabled_path_regression_fails(self):
-        baseline = {"fast": {"sweep_kdom": {"best_seconds": 1.0}}}
-        failures = perf.check_telemetry_overhead(self.current(1.2), baseline)
-        assert len(failures) == 1
-        assert "telemetry" in failures[0] and "1.05x" in failures[0]
-
-    def test_no_section_or_baseline_skips(self):
-        baseline = {"fast": {"sweep_kdom": {"best_seconds": 1.0}}}
-        assert perf.check_telemetry_overhead(report(), baseline) == []
-        assert perf.check_telemetry_overhead(self.current(9.0), {}) == []
+        # A sweep with telemetry off that runs slower than with it on
+        # reads below the floor.
+        floor = perf.RATIO_BOUNDS["telemetry.sweep_kdom"][0]
+        failures = perf.check_ratios(self.current(floor - 0.1))
+        assert failures == [
+            f"telemetry.sweep_kdom: {floor - 0.1:.2f}x below its floor "
+            f"{floor:.2f}x"
+        ]
 
 
 class TestHistory:
     def test_append_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
         doc = report(a=(2.0, "reference"))
-        doc["dense_speedup"] = {"speedup": 10.0}
+        doc["ratios"] = ratios(dense__fastdom_tree=10.0)
         perf.append_history(doc, path)
         perf.append_history(report(a=(1.0, "reference")), path)
         entries, problems = perf.load_history(path)
