@@ -20,8 +20,7 @@ FastDOM_T runs both programs inside every DOM_Partition cluster.
 Unobserved, it takes :func:`direct_cluster_kdom` instead, which applies
 the DP and the wave to per-node state and tallies each message at the
 round and size the programs send it.  The programs on the engine stay
-the reference (tests/core/test_tree_kdom_port.py) and the only route
-emitting events.
+the reference (tests/differential/) and the only route emitting events.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
+from ..graphs.validation import require_acyclic_parents
 from ..sim.errors import RoundLimitExceeded, UnserializablePayload
 from ..sim.metrics import RunMetrics
 from ..sim.model import DEFAULT_WORD_LIMIT, Envelope, MessageStats, measure_words
@@ -307,7 +307,8 @@ def tree_kdominating_set(
     serves unobserved runs: under an active observation, and for
     parent maps outside the dense contract, the reference engine runs,
     so traces hold engine events and malformed inputs fail in the
-    engine's own way.
+    engine's own way.  A parent map with a cycle raises ``ValueError``
+    on every route.
     """
     staged = staged if staged is not None else StagedRun()
     if backend == "dense":
@@ -320,11 +321,10 @@ def tree_kdominating_set(
         if current_observation() is None:
             parent = plan_tree_kdom(graph, root, parent_of)
             if parent is not None:
-                done = _tree_kdominating_set_dense(graph, parent, k, staged)
-                if done is not None:
-                    return done
+                return _tree_kdominating_set_dense(graph, parent, k, staged)
     elif backend != "reference":
         raise ValueError(f"unknown backend {backend!r}")
+    require_acyclic_parents(parent_of)
 
     dp_network = Network(graph)
     dp_network.run(lambda ctx: TreeKDomProgram(ctx, root, parent_of, k))
@@ -348,7 +348,7 @@ def tree_kdominating_set(
 
 def _tree_kdominating_set_dense(
     graph: Graph, parent, k: int, staged: StagedRun
-) -> Optional[Tuple[Set[Any], Partition, StagedRun]]:
+) -> Tuple[Set[Any], Partition, StagedRun]:
     from ..sim.dense.core import np
     from ..sim.dense.csr import csr_adjacency
     from ..sim.dense.forest import (
@@ -359,8 +359,8 @@ def _tree_kdominating_set_dense(
 
     csr = csr_adjacency(graph)
     domination = dense_cluster_domination(csr, parent, k)
-    if domination is None:  # a parent cycle: the engine hangs its own way
-        return None
+    if domination is None:
+        raise ValueError("parent map contains a cycle")
     in_dom, dp_metrics = domination
     staged.record("kdom-dp", dp_metrics)
     nodes = csr.nodes

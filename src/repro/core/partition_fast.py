@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..graphs.distances import bfs_distances
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
+from ..graphs.validation import require_acyclic_parents
 from ..sim.runner import StagedRun
 from .partition_bounded import _merge_side_set
 from .partition_common import (
@@ -66,7 +67,8 @@ def dom_partition(
     reuses the participation probe's depth measurements (the contracted
     forest's max radius is the max participating cluster depth).  Under
     an active observation the reference loop runs instead, as for every
-    dense entry point: no dense kernel emits events.
+    dense entry point: no dense kernel emits events.  A ``t_parent``
+    with a cycle raises ``ValueError`` on every route.
     """
     if backend not in ("reference", "dense"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -81,6 +83,7 @@ def dom_partition(
         require_numpy()
         if current_observation() is None:
             return _dom_partition_dense(tree, root, t_parent, k)
+    require_acyclic_parents(t_parent)
 
     t_depth = bfs_distances(tree, root)
     staged = StagedRun()
@@ -209,7 +212,7 @@ def _dom_partition_dense(
             parent_row[index[v]] = index[p]
     grown = forest_heights(parent_row, n)
     if grown is None:
-        raise ValueError("t_parent contains a cycle")
+        raise ValueError("parent map contains a cycle")
     _heights, t_depth = grown
     # recompute_top minimises (T-depth, str(id)); both components are
     # < n, so one int64 key linearises the pair, and str_rank's

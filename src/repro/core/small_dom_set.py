@@ -28,8 +28,7 @@ algorithms of §3.2 remove single-node trees before invoking this).
 :func:`direct_small_dom_set` computes the program's outputs and round
 count without simulating its messages; the partition drivers take it
 when unobserved.  :class:`SmallDomSetProgram` on the engine stays the
-reference (tests/core/test_small_dom_set_port.py) and the only route
-emitting events.
+reference (tests/differential/) and the only route emitting events.
 """
 
 from __future__ import annotations

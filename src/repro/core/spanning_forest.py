@@ -41,7 +41,7 @@ reproduction note R4; the O(k) total of Lemma 4.1 is unaffected).
 state, tallies each message at the round and size the program sends it,
 and installs outputs and metrics with ``Network.adopt_results``.
 :class:`SimpleMSTProgram` on the engine stays the reference
-(tests/core/test_simple_mst_port.py) and the only route emitting events.
+(tests/differential/) and the only route emitting events.
 """
 
 from __future__ import annotations

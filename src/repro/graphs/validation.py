@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .distances import connected_components
 from .graph import Graph
@@ -35,6 +35,20 @@ def is_forest(graph: Graph) -> bool:
         if edges != len(component) - 1:
             return False
     return True
+
+
+def require_acyclic_parents(parent_of: Dict[Any, Optional[Any]]) -> None:
+    """Raise ``ValueError`` unless every parent chain reaches a root
+    (a node whose parent is ``None`` or absent), in one O(n) pass."""
+    done: set = set()
+    for v in parent_of:
+        path = set()
+        while v is not None and v not in done:
+            if v in path:
+                raise ValueError("parent map contains a cycle")
+            path.add(v)
+            v = parent_of.get(v)
+        done |= path
 
 
 def has_unique_weights(graph: Graph) -> bool:

@@ -159,7 +159,7 @@ class Trace:
         return [e for e in self.events if e.get("kind") == kind]
 
     def phase_breakdown(self) -> Dict[str, int]:
-        """Per-phase round totals (matches ``PhaseBreakdown.phases``)."""
+        """Per-phase round totals (matches ``StagedRun.breakdown()``)."""
         totals: Dict[str, int] = {}
         for record in self.phases:
             name = record["phase"]

@@ -132,7 +132,7 @@ class Observation:
 
         Call this once, with the *top-level* staged accounting, after
         the composite algorithm finishes: the spans then reproduce its
-        ``PhaseBreakdown`` exactly (nested drivers fold their stage
+        ``breakdown()`` exactly (nested algorithms fold their stage
         rounds into the top-level object, so recording inner StagedRuns
         as well would double-count).
         """

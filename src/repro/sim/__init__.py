@@ -27,7 +27,7 @@ from .faults import (
     FaultPlan,
     RunReport,
 )
-from .metrics import PhaseBreakdown, RunMetrics
+from .metrics import RunMetrics
 from .model import DEFAULT_WORD_LIMIT, Envelope, MessageStats, measure_words
 from .network import DEFAULT_MAX_ROUNDS, Network
 from .program import Context, IdleProgram, NodeProgram, ScriptedProgram, split_by_tag
@@ -72,7 +72,6 @@ __all__ = [
     "NodeProgram",
     "NotANeighbor",
     "ParallelRunError",
-    "PhaseBreakdown",
     "RELIABLE_HEADER_WORDS",
     "ReliableContext",
     "ReliableProgram",

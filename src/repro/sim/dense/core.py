@@ -13,7 +13,9 @@ every dense kernel needs:
   in place of a :class:`~repro.sim.network.Network`: it carries the
   final :class:`~repro.sim.metrics.RunMetrics` and answers the result
   reads drivers perform (``outputs``, ``output_field``,
-  ``all_halted``).
+  ``all_halted``);
+* :func:`halted_metrics`, which makes every dense kernel's
+  :class:`~repro.sim.metrics.RunMetrics`.
 
 Equivalence contract: a dense kernel must produce the reference
 scheduler's outputs, round count and metrics exactly.  It serves
@@ -114,31 +116,20 @@ class DenseRun:
         )
 
 
-def finish_metrics(
-    run: DenseRun,
+def halted_metrics(
     rounds: int,
-    messages: int,
+    counts: Any,
     total_words: int,
     max_words: int,
-    per_round: Dict[int, int],
+    halted_nodes: int,
 ) -> RunMetrics:
-    """Install final metrics on ``run`` exactly as the reference engine
-    would have left them after a fault-free fully-halting execution."""
-    metrics = run.metrics
-    metrics.rounds = rounds
-    metrics.traffic.messages = messages
-    metrics.traffic.total_words = total_words
-    metrics.traffic.max_words = max_words
-    metrics.traffic.per_round = per_round
-    metrics.all_halted = True
-    metrics.halted_nodes = run.n
-    run.current_round = rounds
+    """The metrics the reference engine reports for a fault-free run in
+    which every node halts: ``counts[r]`` messages sent at round ``r``
+    (``per_round`` omits zero rounds and holds Python ints)."""
+    metrics = RunMetrics(rounds=rounds, all_halted=True, halted_nodes=halted_nodes)
+    traffic = metrics.traffic
+    traffic.per_round = {r: int(c) for r, c in enumerate(counts) if c}
+    traffic.messages = sum(traffic.per_round.values())
+    traffic.total_words = total_words
+    traffic.max_words = max_words
     return metrics
-
-
-def per_round_from_counts(counts) -> Dict[int, int]:
-    """Convert a per-round message-count array into the engine's sparse
-    ``{round: count}`` dict (zero rounds omitted, Python ints)."""
-    return {
-        r: int(c) for r, c in enumerate(counts) if c
-    }

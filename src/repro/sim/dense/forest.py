@@ -9,9 +9,8 @@ Three groups of kernels, mirroring the reference drivers:
   cluster forest at once (``fastdom_tree``'s per-cluster parallel
   stage): restricting the parent array to in-cluster edges makes the
   per-level reduction identical to running one program per cluster, and
-  :func:`dp_metrics` reproduces the :meth:`RunMetrics.merge` of the
-  per-cluster runs in closed form (rounds = max cluster height,
-  traffic summed).
+  its metrics reproduce the :meth:`RunMetrics.merge` of the per-cluster
+  runs in closed form (rounds = max cluster height, traffic summed).
 
 * **Nearest-dominator wave** (:func:`nearest_dominator_wave`) — the
   k-round multi-source label propagation of
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .core import np
+from .core import halted_metrics, np
 from .csr import CSRAdjacency, csr_adjacency
 from .kernels import _edge_endpoints, _group_by_level, forest_heights
 from ..metrics import RunMetrics
@@ -99,27 +98,6 @@ def kdom_dp(parent: Any, height_levels: List[Any], k: int) -> Any:
     return in_dom
 
 
-def dp_metrics(parent: Any, heights: Any) -> RunMetrics:
-    """Metrics of the DP convergecast — identical to the parallel merge
-    of the per-cluster reference runs: a node fires (and a non-root
-    sends its 3-word state) at round = its height."""
-    non_root = parent >= 0
-    messages = int(non_root.sum())
-    rounds = int(heights.max()) if heights.size else 0
-    per_round = np.bincount(heights[non_root], minlength=rounds + 1)
-    metrics = RunMetrics()
-    metrics.rounds = rounds
-    metrics.traffic.messages = messages
-    metrics.traffic.total_words = _WORDS * messages
-    metrics.traffic.max_words = _WORDS if messages else 0
-    metrics.traffic.per_round = {
-        r: int(c) for r, c in enumerate(per_round) if c
-    }
-    metrics.all_halted = True
-    metrics.halted_nodes = int(parent.shape[0])
-    return metrics
-
-
 # ---------------------------------------------------------------------------
 # Nearest-dominator wave
 # ---------------------------------------------------------------------------
@@ -167,16 +145,9 @@ def nearest_dominator_wave(
         label[frontier] = best[frontier]
         dist[frontier] = d
     messages = int(per_round.sum())
-    metrics = RunMetrics()
-    metrics.rounds = k
-    metrics.traffic.messages = messages
-    metrics.traffic.total_words = _WORDS * messages
-    metrics.traffic.max_words = _WORDS if messages else 0
-    metrics.traffic.per_round = {
-        r: int(c) for r, c in enumerate(per_round) if c
-    }
-    metrics.all_halted = True
-    metrics.halted_nodes = n
+    metrics = halted_metrics(
+        k, per_round, _WORDS * messages, _WORDS if messages else 0, n
+    )
     return label, dist, metrics
 
 
@@ -243,14 +214,22 @@ def dense_cluster_domination(
 ) -> Optional[Tuple[Any, RunMetrics]]:
     """All per-cluster DP runs at once; returns (in_dom, merged
     metrics), or ``None`` when ``parent`` contains a cycle (the
-    reference program would hang)."""
+    callers raise ``ValueError`` for it)."""
     grown = forest_heights(parent, csr.n)
     if grown is None:
         return None
     heights, _depth = grown
-    levels = _group_by_level(heights, int(heights.max()) + 1)
+    rounds = int(heights.max())
+    levels = _group_by_level(heights, rounds + 1)
     in_dom = kdom_dp(parent, levels, k)
-    return in_dom, dp_metrics(parent, heights)
+    # Rounds = max cluster height, traffic summed: a node fires, and a
+    # non-root sends its 3-word state, at round = its height.
+    counts = np.bincount(heights[parent >= 0])
+    messages = int(counts.sum())
+    metrics = halted_metrics(
+        rounds, counts, _WORDS * messages, _WORDS if messages else 0, csr.n
+    )
+    return in_dom, metrics
 
 
 # ---------------------------------------------------------------------------

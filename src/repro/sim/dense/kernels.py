@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .core import DenseRun, finish_metrics, np, per_round_from_counts
+from .core import DenseRun, halted_metrics, np
 from .csr import CSRAdjacency, csr_adjacency
 
 
@@ -182,7 +182,7 @@ def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
     depth_max = len(levels) - 1
 
     if n == 1:
-        finish_metrics(run, 0, 0, 0, 0, {})
+        run.metrics = halted_metrics(0, (), 0, 0, 1)
         run.set_outputs(
             {root: {
                 "parent": None, "depth": 0, "children": (),
@@ -224,21 +224,20 @@ def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
     np.add.at(per_round, echo_round[non_root], 1)
     child_counts = np.bincount(parent[non_root], minlength=n)
     np.add.at(per_round, e_root + dist, child_counts)
-    messages = int(per_round.sum())
     # offers(root) = 0, so this sum already counts the root's fan-out.
     wave_words = 2 * (degrees - plan.offers).sum()
     accept_reject_words = (
         plan.offers.sum() + plan.same_counts.sum()
     )
     echo_mfin_words = 2 * (n - 1) * 2
-    finish_metrics(
-        run,
-        rounds=rounds,
-        messages=messages,
-        total_words=int(wave_words + accept_reject_words + echo_mfin_words),
-        max_words=2,
-        per_round=per_round_from_counts(per_round),
+    run.metrics = halted_metrics(
+        rounds,
+        per_round,
+        int(wave_words + accept_reject_words + echo_mfin_words),
+        2,
+        n,
     )
+    run.current_round = rounds
 
     # -- outputs --------------------------------------------------------------
     nodes = csr.nodes

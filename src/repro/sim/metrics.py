@@ -9,7 +9,7 @@ the congestion behaviour the paper reasons about informally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from .model import MessageStats
 
@@ -171,34 +171,3 @@ class RunMetrics:
             }
         return metrics
 
-
-@dataclass
-class PhaseBreakdown:
-    """Per-phase round accounting for composite algorithms.
-
-    Composite procedures (``FastDOM_T``, ``Fast-MST``, ...) are sequential
-    compositions of sub-algorithms; benchmarks report where the rounds
-    went, mirroring the paper's per-stage analysis.
-    """
-
-    phases: Dict[str, int] = dataclass_field(default_factory=dict)
-
-    def add(self, name: str, rounds: int) -> None:
-        self.phases[name] = self.phases.get(name, 0) + rounds
-
-    @property
-    def total_rounds(self) -> int:
-        return sum(self.phases.values())
-
-    def dominant_phase(self) -> Optional[str]:
-        if not self.phases:
-            return None
-        return max(self.phases, key=lambda name: self.phases[name])
-
-    def as_table(self) -> str:
-        width = max((len(name) for name in self.phases), default=5)
-        lines = [f"{'phase'.ljust(width)}  rounds"]
-        for name, rounds in self.phases.items():
-            lines.append(f"{name.ljust(width)}  {rounds}")
-        lines.append(f"{'TOTAL'.ljust(width)}  {self.total_rounds}")
-        return "\n".join(lines)

@@ -122,9 +122,3 @@ class MessageStats:
         self.per_round[envelope.sent_round] = (
             self.per_round.get(envelope.sent_round, 0) + 1
         )
-
-    def busiest_round(self) -> int:
-        """Round with the most messages sent (0 if no traffic)."""
-        if not self.per_round:
-            return 0
-        return max(self.per_round, key=lambda r: (self.per_round[r], -r))

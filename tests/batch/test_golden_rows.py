@@ -10,7 +10,7 @@ A ``kdom`` row pins FastDOM_G's ``dominators``, ``clusters``, ``rounds``
 and per-stage ``breakdown``.  Its ``metrics`` block covers only the
 SimpleMST stage (the later stages are added by round count), so the
 rows do not pin the traffic of FastDOM_T's cluster stages;
-tests/core/test_tree_kdom_port.py compares those metrics directly.
+tests/differential/ compares those metrics directly.
 
 Regenerate only after a deliberate row change::
 

@@ -1,6 +1,6 @@
-"""RunMetrics composition and PhaseBreakdown."""
+"""RunMetrics composition."""
 
-from repro.sim import PhaseBreakdown, RunMetrics
+from repro.sim import RunMetrics
 from repro.sim.model import Envelope
 
 
@@ -45,23 +45,3 @@ class TestRunMetrics:
         assert m.total_words == 8
         assert m.max_message_words == 4
 
-
-class TestPhaseBreakdown:
-    def test_accumulates(self):
-        pb = PhaseBreakdown()
-        pb.add("a", 3)
-        pb.add("b", 6)
-        pb.add("a", 2)
-        assert pb.total_rounds == 11
-        assert pb.dominant_phase() == "b"
-
-    def test_empty(self):
-        pb = PhaseBreakdown()
-        assert pb.total_rounds == 0
-        assert pb.dominant_phase() is None
-
-    def test_as_table(self):
-        pb = PhaseBreakdown()
-        pb.add("stage", 4)
-        text = pb.as_table()
-        assert "stage" in text and "TOTAL" in text

@@ -65,12 +65,3 @@ class TestMessageStats:
         assert stats.messages == 2
         assert stats.total_words == 5
         assert stats.max_words == 3
-
-    def test_busiest_round(self):
-        stats = MessageStats()
-        for r in (0, 1, 1, 2):
-            stats.record(Envelope(0, 1, ("A",), r))
-        assert stats.busiest_round() == 1
-
-    def test_busiest_round_empty(self):
-        assert MessageStats().busiest_round() == 0
