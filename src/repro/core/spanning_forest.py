@@ -39,7 +39,8 @@ reproduction note R4; the O(k) total of Lemma 4.1 is unaffected).
 :func:`simple_mst_forest` skips the simulation when unobserved:
 :func:`_direct_forest` applies this schedule phase by phase to per-node
 state, tallies each message at the round and size the program sends it,
-and installs outputs and metrics with ``Network.adopt_results``.
+and returns outputs and metrics as a :class:`~repro.sim.runner.RunRecord`
+without building a :class:`~repro.sim.network.Network`.
 :class:`SimpleMSTProgram` on the engine stays the reference
 (tests/differential/) and the only route emitting events.
 """
@@ -55,6 +56,7 @@ from ..sim.metrics import RunMetrics
 from ..sim.model import Envelope, MessageStats, measure_words
 from ..sim.network import DEFAULT_MAX_ROUNDS, Network
 from ..sim.program import Context, ScriptedProgram
+from ..sim.runner import RunRecord
 from .partition_common import log2_phase_count
 
 #: Sentinel id for "the minimum outgoing edge lives at this very node".
@@ -313,42 +315,48 @@ class SimpleMSTProgram(ScriptedProgram):
 
 def simple_mst_forest(
     graph: Graph, k: int, word_limit: int = 8
-) -> Tuple[Dict[Any, Optional[Any]], List[Set[Any]], "Network"]:
+) -> Tuple[Dict[Any, Optional[Any]], List[Set[Any]], Any]:
     """Run Procedure ``SimpleMST`` on a weighted graph.
 
-    Returns (fragment parent map, list of fragment node sets, network).
+    Returns (fragment parent map, list of fragment node sets, run): the
+    run is the :class:`Network`, or off the engine a
+    :class:`~repro.sim.runner.RunRecord` with the same outputs and
+    metrics.
     """
-    # Built on both routes: the port reads its tables and fills it in.
-    network = Network(graph, word_limit=word_limit)
-    if not _direct_forest(network, k):
-        network.run(lambda ctx: SimpleMSTProgram(ctx, k))
-    parents = network.output_field("parent")
+    run = _direct_forest(graph, k, word_limit)
+    if run is None:
+        run = Network(graph, word_limit=word_limit)
+        run.run(lambda ctx: SimpleMSTProgram(ctx, k))
+    parents = run.output_field("parent")
     fragments = _components_from_parents(parents)
-    return parents, fragments, network
+    return parents, fragments, run
 
 
-def _direct_forest(network: Network, k: int) -> bool:
+def _direct_forest(graph: Graph, k: int, word_limit: int) -> Optional[RunRecord]:
     """Compute :class:`SimpleMSTProgram`'s run without simulating it.
 
-    Returns False, leaving ``network`` untouched, under an observation
-    (only the engine emits events), on an empty graph, or when a payload
-    might not fit the word limit (PRB, the largest, has 2 + the words of
-    a root id), so that the engine runs with its exact events and errors.
+    Returns None under an observation (only the engine emits events), on
+    an empty graph, or when a payload might not fit the word limit (PRB,
+    the largest, has 2 + the words of a root id), so that the engine
+    runs with its exact events and errors.
     """
-    nodes = network.nodes
-    if current_observation() is not None or not nodes:
-        return False
+    if current_observation() is not None:
+        return None
+    nodes = sorted(graph.nodes)  # raises as Network() would
+    if not nodes:
+        return None
     try:
         words = {v: measure_words((v,)) for v in nodes}
     except UnserializablePayload:
-        return False
-    neighbors, weights = network._neighbors, network._weights
-    if network.word_limit < 2 + max(words.values()) or any(
+        return None
+    neighbors = {v: tuple(sorted(graph.neighbors(v))) for v in nodes}
+    weights = {v: {u: graph.weight(v, u) for u in neighbors[v]} for v in nodes}
+    if word_limit < 2 + max(words.values()) or any(
         type(w) not in (int, float, type(None))  # MOE weights: one word
         for incident in weights.values()
         for w in incident.values()
     ):
-        return False
+        return None
     phases = log2_phase_count(k)
     if sum(5 * 2 ** i + 3 for i in range(1, phases + 1)) > DEFAULT_MAX_ROUNDS:
         raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
@@ -457,8 +465,7 @@ def _direct_forest(network: Network, k: int) -> bool:
         for v in nodes
     }
     metrics = RunMetrics(start, traffic, all_halted=True, halted_nodes=len(nodes))
-    network.adopt_results(metrics, outputs, dict.fromkeys(nodes, True))
-    return True
+    return RunRecord(metrics, outputs)
 
 
 def fragment_trees(

@@ -32,18 +32,30 @@ Setting ``eliminate_cycles=False`` disables the ``Cyc`` filter (every
 known edge is upcast), turning the procedure into the naive
 collect-everything baseline whose time is Θ(m + Diam) instead of
 Θ(N + Diam) — the ablation of experiment E10.
+
+:func:`run_pipeline` skips the simulation when unobserved: it takes the
+BFS tree from :func:`~repro.primitives.bfs.build_bfs_tree` (itself
+direct then) and :func:`_direct_pipeline` steps each node's pulses over
+per-node state, with no envelopes, inboxes or scheduler, and computes
+the selection stream in closed form.  :class:`PipelineProgram` on the
+engine stays the reference (tests/differential/) and the only route
+emitting events, so E10's stall check reads what the engine did.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
+from ..obs.session import current_observation
 from ..primitives.bfs import build_bfs_tree
-from ..sim.model import Envelope
+from ..sim.errors import UnserializablePayload
+from ..sim.metrics import halted_metrics
+from ..sim.model import Envelope, measure_words
 from ..sim.network import Network
 from ..sim.program import Context, NodeProgram
-from ..sim.runner import StagedRun
+from ..sim.runner import RunRecord, StagedRun
 from .unionfind import UnionFind
 
 #: An edge descriptor: (weight, fragment_a, fragment_b, endpoint_a,
@@ -248,11 +260,13 @@ def run_pipeline(
     root: Any = None,
     eliminate_cycles: bool = True,
     word_limit: int = 8,
-) -> Tuple[List[Tuple[Any, Any]], StagedRun, "Network"]:
+) -> Tuple[List[Tuple[Any, Any]], StagedRun, Any]:
     """Run Procedure ``Pipeline``: BFS stage + pipelined elimination.
 
     Returns (selected inter-fragment MST edges, staged rounds, the
-    pipeline network for inspection).
+    pipeline run for inspection: the :class:`Network`, or off the
+    engine a :class:`~repro.sim.runner.RunRecord` with the same outputs
+    and metrics).
     """
     from ..graphs.validation import is_connected
 
@@ -264,15 +278,177 @@ def run_pipeline(
     if root is None:
         root = min(graph.nodes, key=str)
     staged = StagedRun()
-    parents, _depths, bfs_network = build_bfs_tree(graph, root, word_limit)
-    staged.record("bfs-tree", bfs_network.metrics)
+    parents, depths, bfs_run = build_bfs_tree(graph, root, word_limit)
+    staged.record("bfs-tree", bfs_run.metrics)
 
-    network = Network(graph, word_limit=word_limit)
-    network.run(
-        lambda ctx: PipelineProgram(
-            ctx, root, parents, fragment_of[ctx.node], eliminate_cycles
-        )
+    run = _direct_pipeline(
+        graph, fragment_of, root, parents, depths, eliminate_cycles, word_limit
     )
-    staged.record("pipeline", network.metrics)
-    selected = network.programs[root].output["selected_edges"]
-    return list(selected), staged, network
+    if run is None:
+        run = Network(graph, word_limit=word_limit)
+        run.run(
+            lambda ctx: PipelineProgram(
+                ctx, root, parents, fragment_of[ctx.node], eliminate_cycles
+            )
+        )
+    staged.record("pipeline", run.metrics)
+    return list(run.outputs()[root]["selected_edges"]), staged, run
+
+
+#: Words of each message: FRG, EDG, TRM, SEL and DON.
+_FRG, _EDG, _TRM, _SEL, _DON = 2, 6, 1, 3, 1
+
+
+def _direct_pipeline(
+    graph: Graph,
+    fragment_of: Dict[Any, Any],
+    root: Any,
+    parents: Dict[Any, Optional[Any]],
+    depths: Dict[Any, int],
+    eliminate_cycles: bool,
+    word_limit: int,
+) -> Optional[RunRecord]:
+    """Compute :class:`PipelineProgram`'s run over the BFS tree
+    ``parents`` without simulating it.
+
+    A node's pulses depend only on what its children sent it, so nodes
+    are visited deepest first and each one's upcast stream is stepped
+    pulse by pulse from its children's streams: child ``c``, started at
+    round ``s_c``, delivers its ``i``-th EDG at ``s_c + i + 1`` and its
+    TRM after the last.  A node starts once it has heard from every
+    child, holding its own inter-fragment edges (the round-0 FRG
+    exchange) in a heap as Q, and keeps its own union-find as the Cyc
+    filter.  The root solves at the round R its last TRM arrives; a
+    depth-d node then relays the i-th selected edge at R + i + d and
+    DON at R + |S| + d, so the run ends at R + |S| + M.
+
+    Returns None, so the engine runs with its events and errors, under
+    an observation, for a word limit below the 6-word EDG, a node or
+    fragment id that is not one word, a weight that is not an int or
+    float (or is NaN), or a node that runs dry while a child still
+    streams (Lemma 5.3(a)).
+    """
+    if current_observation() is not None or word_limit < _EDG:
+        return None
+    nodes = list(parents)  # the engine's node order
+    fragments = [fragment_of[v] for v in nodes]
+    try:
+        if any(measure_words((x,)) != 1 for x in nodes + fragments):
+            return None
+    except UnserializablePayload:
+        return None
+    own: Dict[Any, List[EdgeDescriptor]] = {}
+    degrees = 0
+    for v in nodes:
+        incident = own[v] = []
+        for u in graph.neighbors(v):
+            degrees += 1
+            w = graph.weight(v, u)
+            if type(w) not in (int, float) or w != w:
+                return None
+            if fragment_of[u] != fragment_of[v]:
+                incident.append(make_descriptor(w, v, u, fragment_of))
+    children: Dict[Any, List[Any]] = {v: [] for v in nodes}
+    for v in nodes:
+        if parents[v] is not None:
+            children[parents[v]].append(v)
+
+    start: Dict[Any, int] = {}
+    sent: Dict[Any, List[EdgeDescriptor]] = {root: []}  # EDGs; TRM follows
+    order_violations = dict.fromkeys(nodes, 0)
+    for v in sorted(nodes, key=depths.__getitem__, reverse=True):
+        kids = children[v]
+        s = start[v] = max((start[c] + 1 for c in kids), default=1)
+        if v == root:
+            break
+        queue = own[v]
+        known = set(queue)
+        for c in kids:
+            for descriptor in sent[c][: s - start[c]]:  # arrived by round s
+                if descriptor not in known:
+                    known.add(descriptor)
+                    queue.append(descriptor)
+        heapq.heapify(queue)
+        streaming = [c for c in kids if len(sent[c]) > s - start[c]]
+        union_find = UnionFind() if eliminate_cycles else None
+        out = sent[v] = []
+        last = None
+        r = s
+        while True:
+            if union_find is not None:
+                while queue and union_find.connected(queue[0][1], queue[0][2]):
+                    heapq.heappop(queue)  # in Cyc(U, Q): dropped for good
+            if not queue:
+                if any(start[c] + len(sent[c]) + 1 > r for c in kids):
+                    return None  # ran dry while a child still streams
+                break
+            descriptor = heapq.heappop(queue)
+            if last is not None and descriptor[0] < last:
+                order_violations[v] += 1
+            last = descriptor[0]
+            if union_find is not None:
+                union_find.union(descriptor[1], descriptor[2])
+            out.append(descriptor)
+            r += 1
+            for c in streaming:
+                i = r - start[c] - 1
+                if i < len(sent[c]) and sent[c][i] not in known:
+                    known.add(sent[c][i])
+                    heapq.heappush(queue, sent[c][i])
+            streaming = [c for c in streaming if r - start[c] < len(sent[c])]
+
+    # The root solves once its last child's TRM arrives, over every
+    # descriptor it heard (Kruskal on the fragment graph).
+    solved = max((start[c] + len(sent[c]) + 1 for c in children[root]), default=1)
+    known = set(own[root])
+    for c in children[root]:
+        known.update(sent[c])
+    union_find = UnionFind()
+    selected = [(a, b) for _w, fa, fb, a, b in sorted(known) if union_find.union(fa, fb)]
+    incident: Dict[Any, List[Tuple[Any, Any]]] = {v: [] for v in nodes}
+    for a, b in selected:
+        incident[a].append((a, b))
+        incident[b].append((a, b))
+    outputs: Dict[Any, Dict[str, Any]] = {}
+    for v in nodes:
+        out = outputs[v] = {
+            "order_violations": order_violations[v],
+            "pipelining_violations": 0,
+            "upcast_count": len(sent[v]),
+            "start_round": start[v],
+        }
+        if v == root:
+            out["selected_edges"] = list(selected)
+        else:
+            out["term_round"] = start[v] + len(sent[v])
+        out["incident_selected"] = incident[v]
+
+    # Metrics: the FRG exchange at round 0; each non-root sends one EDG
+    # or TRM per round from its start through its TRM; then the
+    # SEL/DON stream reaches depth d + 1 from R + d on.
+    n, picked, tree_depth = len(nodes), len(selected), max(depths.values())
+    rounds = solved + picked + tree_depth
+    delta = [0] * (rounds + 2)
+    counts = [0] * (rounds + 1)
+    counts[0] = degrees
+    below = [0] * (tree_depth + 1)  # nodes at depth d + 1
+    for v in nodes:
+        if v != root:
+            delta[start[v]] += 1
+            delta[start[v] + len(sent[v]) + 1] -= 1
+            below[depths[v] - 1] += 1
+    for d, receivers in enumerate(below):
+        delta[solved + d] += receivers
+        delta[solved + d + picked] -= receivers
+        counts[solved + picked + d] += receivers  # DON
+    running = 0
+    for r in range(rounds + 1):
+        running += delta[r]
+        counts[r] += running
+    edgs = sum(map(len, sent.values()))
+    sends = [
+        (degrees, _FRG), (edgs, _EDG), (n - 1, _TRM), (picked * (n - 1), _SEL), (n - 1, _DON),
+    ]
+    words = sum(messages * size for messages, size in sends)
+    max_words = max((size for messages, size in sends if messages), default=0)
+    return RunRecord(halted_metrics(rounds, counts, words, max_words, n), outputs)

@@ -21,15 +21,24 @@ other offerers, and forwards the wave to all remaining neighbours.  A
 node that has forwarded and received a response from every neighbour
 and an ``ECHO`` from every accepted child echoes the maximum subtree
 depth to its parent.
+
+:func:`build_bfs_tree` simulates this only when it must: unobserved and
+fault-free, its reference backend computes the run in closed form
+(:func:`_direct_bfs`) and ``backend="dense"`` with array kernels; both
+give the engine's tree, outputs and metrics exactly
+(tests/differential/).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..obs.session import current_observation
+from ..sim.metrics import halted_metrics
 from ..sim.model import Envelope
 from ..sim.network import Network
 from ..sim.program import Context, NodeProgram
+from ..sim.runner import RunRecord
 
 
 class BFSTreeProgram(NodeProgram):
@@ -169,29 +178,126 @@ def build_bfs_tree(
     word_limit: int = 8,
     backend: str = "reference",
     faults: Any = None,
-) -> Tuple[Dict[Any, Optional[Any]], Dict[Any, int], "Network"]:
-    """Run the distributed BFS; return (parent map, depth map, network).
+) -> Tuple[Dict[Any, Optional[Any]], Dict[Any, int], Any]:
+    """Build the BFS tree from ``root``; return (parent map, depth map,
+    run), the run being the :class:`Network` or, off the engine, a
+    :class:`~repro.sim.runner.RunRecord` with the same outputs and
+    metrics.
 
-    ``backend="dense"`` computes the identical tree, outputs, round
-    count, and metrics with array kernels.  It emits no events, so it
-    defers to the reference engine whenever an observation session is
-    active (or a fault plan is installed) — trace consumers always see
-    genuine engine events.
+    Unobserved and fault-free, neither backend simulates: the reference
+    backend computes :class:`BFSTreeProgram`'s run in closed form over
+    dicts (:func:`_direct_bfs`) and ``backend="dense"`` with array
+    kernels.  The engine runs under an observation (only it emits
+    events), under a fault plan, and for inputs outside the closed
+    form's contract, which it then fails in its own way.  A faulted run
+    stops once nothing is in flight and no delayed message or crash is
+    still to come: the program only reacts to messages, so a lost one
+    would otherwise leave it waiting out the round budget.
     """
     if backend == "dense":
-        from ..obs.session import current_observation
         from ..sim.dense import dense_bfs_tree, plan_bfs, require_numpy
 
         require_numpy()
-        if faults is None and current_observation() is None:
-            plan = plan_bfs(graph, root, word_limit)
-            if plan is not None:
-                run = dense_bfs_tree(graph, root, plan)
-                return run.bfs_parents, run.bfs_depths, run
     elif backend != "reference":
         raise ValueError(f"unknown backend {backend!r}")
+    if faults is None and current_observation() is None:
+        if backend == "dense":
+            plan = plan_bfs(graph, root, word_limit)
+            if plan is not None:
+                return dense_bfs_tree(graph, root, plan)
+        else:
+            direct = _direct_bfs(graph, root, word_limit)
+            if direct is not None:
+                return direct
     network = Network(graph, word_limit=word_limit, faults=faults)
-    network.run(lambda ctx: BFSTreeProgram(ctx, root))
+    network.run(
+        lambda ctx: BFSTreeProgram(ctx, root), stop_when_quiet=faults is not None
+    )
     parents = network.output_field("parent")
     depths = network.output_field("depth")
     return parents, depths, network
+
+
+def _direct_bfs(graph, root: Any, word_limit: int):
+    """:class:`BFSTreeProgram`'s fault-free run without simulating it.
+
+    A node at depth d adopts the min-``str`` neighbour one level up and
+    sends its bundle (ACCEPT, REJECTs, WAVEs: one per neighbour) at
+    round d, and REJECTs its same-level neighbours' waves at d + 1.  It
+    echoes at E(v) = max(base(v), max over children of E + 1), where
+    base(v) is d + 2 while it awaits wave responses, else d + 1, and 2
+    at the root (0 with no neighbours).  The root's MFIN reaches depth
+    d at E(root) + d, so the run ends at E(root) + M.
+
+    Returns None, so the engine runs, when ``root`` is not in the graph,
+    the graph is disconnected or ``word_limit`` is below the protocol's
+    2-word messages.
+    """
+    nodes = sorted(graph.nodes)  # raises as Network() would
+    neighbors = {v: tuple(graph.neighbors(v)) for v in nodes}
+    if word_limit < 2 or root not in neighbors:
+        return None
+    depth = {root: 0}
+    levels = [[root]]
+    while True:
+        level = []
+        for v in levels[-1]:
+            for u in neighbors[v]:
+                if u not in depth:
+                    depth[u] = len(levels)
+                    level.append(u)
+        if not level:
+            break
+        levels.append(level)
+    if len(depth) < len(nodes):
+        return None
+    parent: Dict[Any, Any] = {}
+    children: Dict[Any, List[Any]] = {v: [] for v in nodes}
+    echo: Dict[Any, int] = {}  # base(v) until the fold below
+    counts = [0] * (len(levels) + 2)
+    words = 0
+    for v in nodes:
+        d = depth[v]
+        up = [u for u in neighbors[v] if depth[u] == d - 1]
+        same = sum(1 for u in neighbors[v] if depth[u] == d)
+        waves = len(neighbors[v]) - len(up)
+        if up:
+            parent[v] = min(up, key=str)
+            children[parent[v]].append(v)
+            echo[v] = d + 2 if waves else d + 1
+        else:
+            parent[v] = None
+            echo[v] = 2 if waves else 0
+        counts[d] += len(neighbors[v])  # the adoption bundle (the root's WAVEs)
+        counts[d + 1] += same  # late REJECTs
+        words += 2 * waves + len(up) + same
+    for level in reversed(levels):
+        for v in level:
+            p = parent[v]
+            if p is not None and echo[v] + 1 > echo[p]:
+                echo[p] = echo[v] + 1
+    e_root = echo[root]
+    tree_depth = len(levels) - 1
+    rounds = e_root + tree_depth
+    counts += [0] * (rounds + 1 - len(counts))
+    for v in nodes:
+        if v != root:
+            counts[echo[v]] += 1  # ECHO
+        counts[e_root + depth[v]] += len(children[v])  # MFIN
+    n = len(nodes)
+    words += 4 * (n - 1)  # ECHO and MFIN, 2 words each
+    metrics = halted_metrics(rounds, counts, words, 2 if n > 1 else 0, n)
+
+    def outputs():
+        return {
+            v: {
+                "parent": parent[v],
+                "depth": depth[v],
+                "children": tuple(sorted(children[v], key=str)),
+                "tree_depth": tree_depth,
+                "t1": rounds + 1,
+            }
+            for v in nodes
+        }
+
+    return parent, {v: depth[v] for v in nodes}, RunRecord(metrics, outputs)

@@ -37,7 +37,7 @@ from .reliable import (
     ReliableProgram,
     make_reliable,
 )
-from .runner import ParallelRunError, StagedRun, run_in_parallel
+from .runner import ParallelRunError, RunRecord, StagedRun, run_in_parallel
 from .virtual import ContractedGraph, VirtualNetwork
 from .events import AsyncContext, AsyncNetwork, AsyncNodeProgram
 from .synchronizer import AlphaSynchronizerNode, run_synchronized
@@ -77,6 +77,7 @@ __all__ = [
     "ReliableProgram",
     "RoundLimitExceeded",
     "RunMetrics",
+    "RunRecord",
     "RunReport",
     "ScriptedProgram",
     "SimulationError",

@@ -23,7 +23,6 @@ This package imports cleanly without numpy; only actually *selecting*
 """
 
 from .core import (
-    DenseRun,
     DenseUnavailable,
     HAVE_NUMPY,
     require_numpy,
@@ -48,7 +47,6 @@ from .forest import (
 
 __all__ = [
     "CSRAdjacency",
-    "DenseRun",
     "DenseUnavailable",
     "HAVE_NUMPY",
     "balanced_rows",

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .core import halted_metrics, np
+from .core import np
 from .csr import CSRAdjacency, csr_adjacency
 from .kernels import _edge_endpoints, _group_by_level, forest_heights
-from ..metrics import RunMetrics
+from ..metrics import RunMetrics, halted_metrics
 from ...symmetry.log_star import cv_iterations
 
 #: Fixed yield count of the SmallDomSet script after the colouring:

@@ -5,10 +5,13 @@ exactly what :class:`~repro.primitives.bfs.BFSTreeProgram` computes
 node by node: BFS levels plus a closed form of the wave/echo/broadcast
 protocol — parent = min-``str`` offer, echo rounds from the recurrence
 ``E(v) = max(base(v), max_child E + 1)``, total rounds ``E(root) + M``.
-It returns a :class:`~repro.sim.dense.core.DenseRun` whose outputs,
-round count and :class:`~repro.sim.metrics.RunMetrics` are identical
-to the reference engine's.  It emits no events: its driver runs the
-reference engine whenever an observation is active.
+It returns the parent and depth maps and a
+:class:`~repro.sim.runner.RunRecord` whose outputs and
+:class:`~repro.sim.metrics.RunMetrics` are identical to the reference
+engine's.  It emits no events: its driver runs the reference engine
+whenever an observation is active.  The unobserved reference route of
+:func:`~repro.primitives.bfs.build_bfs_tree` computes the same closed
+form over dicts, so only ``repro perf`` and the tests call this one.
 
 :func:`plan_bfs` returns ``None`` when the input is outside the
 kernel's contract (a root the graph lacks, a disconnected graph, a word
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .core import DenseRun, halted_metrics, np
+from .core import np
 from .csr import CSRAdjacency, csr_adjacency
+from ..metrics import halted_metrics
+from ..runner import RunRecord
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +171,9 @@ def plan_bfs(graph, root, word_limit: int) -> Optional[BFSPlan]:
     return BFSPlan(csr, dist, levels, parent, offers, same_counts)
 
 
-def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
-    """Execute a planned BFS-tree construction.
+def dense_bfs_tree(graph, root, plan: BFSPlan):
+    """Execute a planned BFS-tree construction; return (parent map,
+    depth map, run record), as :func:`~repro.primitives.bfs.build_bfs_tree`.
 
     Echo rounds follow the wave protocol's closed form: a node with no
     un-offered neighbors echoes at ``depth+1`` (off its scheduler
@@ -177,21 +183,17 @@ def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
     """
     csr, dist, levels, parent = plan.csr, plan.dist, plan.levels, plan.parent
     n = csr.n
-    run = DenseRun(graph)
     root_row = csr.index[root]
     depth_max = len(levels) - 1
 
     if n == 1:
-        run.metrics = halted_metrics(0, (), 0, 0, 1)
-        run.set_outputs(
-            {root: {
+        outputs = {
+            root: {
                 "parent": None, "depth": 0, "children": (),
                 "tree_depth": 0, "t1": 1,
-            }}
-        )
-        run.bfs_parents = {root: None}
-        run.bfs_depths = {root: 0}
-        return run
+            }
+        }
+        return {root: None}, {root: 0}, RunRecord(halted_metrics(0, (), 0, 0, 1), outputs)
 
     degrees = csr.degrees
     others = degrees - plan.offers  # wave fan-out after adoption
@@ -230,14 +232,13 @@ def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
         plan.offers.sum() + plan.same_counts.sum()
     )
     echo_mfin_words = 2 * (n - 1) * 2
-    run.metrics = halted_metrics(
+    metrics = halted_metrics(
         rounds,
         per_round,
         int(wave_words + accept_reject_words + echo_mfin_words),
         2,
         n,
     )
-    run.current_round = rounds
 
     # -- outputs --------------------------------------------------------------
     nodes = csr.nodes
@@ -264,12 +265,10 @@ def dense_bfs_tree(graph, root, plan: BFSPlan) -> DenseRun:
             for row in range(n)
         }
 
-    run.set_outputs_factory(build_outputs)
     # The driver's return values, straight from the arrays (cheaper
     # than materialising the full per-node output dicts).
-    run.bfs_parents = {
+    parents = {
         nodes[row]: None if row == root_row else nodes[parent_list[row]]
         for row in range(n)
     }
-    run.bfs_depths = dict(zip(nodes, dist_list))
-    return run
+    return parents, dict(zip(nodes, dist_list)), RunRecord(metrics, build_outputs)

@@ -230,8 +230,15 @@ class FaultInjector:
         return deliver
 
     def has_pending(self) -> bool:
-        """True while delayed messages are still in flight."""
-        return bool(self._pending)
+        """True while a delayed message is in flight or a scheduled crash
+        is still to come: either can still change a quiet run."""
+        if self._pending:
+            return True
+        if self._script is not None or self._script_crashes:
+            scheduled = [v for nodes in self._script_crashes.values() for v in nodes]
+        else:
+            scheduled = self.config.crashes
+        return any(v not in self.crashed for v in scheduled)
 
     # ------------------------------------------------------------------
     def _decide(

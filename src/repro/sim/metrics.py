@@ -9,7 +9,7 @@ the congestion behaviour the paper reasons about informally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable
+from typing import Any, Dict, Iterable
 
 from .model import MessageStats
 
@@ -171,3 +171,22 @@ class RunMetrics:
             }
         return metrics
 
+
+def halted_metrics(
+    rounds: int,
+    counts: Any,
+    total_words: int,
+    max_words: int,
+    halted_nodes: int,
+) -> RunMetrics:
+    """The metrics the engine reports for a fault-free run in which
+    every node halts: ``counts[r]`` messages sent at round ``r``
+    (``per_round`` omits zero rounds and holds Python ints).  The dense
+    kernels and the direct BFS and Pipeline routes build theirs here."""
+    metrics = RunMetrics(rounds=rounds, all_halted=True, halted_nodes=halted_nodes)
+    traffic = metrics.traffic
+    traffic.per_round = {r: int(c) for r, c in enumerate(counts) if c}
+    traffic.messages = sum(traffic.per_round.values())
+    traffic.total_words = total_words
+    traffic.max_words = max_words
+    return metrics

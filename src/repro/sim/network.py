@@ -149,36 +149,6 @@ class Network:
         # that is the whole no-subscriber overhead contract.
         self._obs: Optional[Tap] = _obs_bind(self)
 
-    def adopt_results(
-        self,
-        metrics: RunMetrics,
-        outputs: Dict[Any, Dict[str, Any]],
-        halted: Dict[Any, bool],
-    ) -> None:
-        """Install the results of a run computed without this network.
-
-        A direct route (SimpleMST's, :mod:`repro.core.spanning_forest`)
-        computes what drivers consume — final metrics, per-node
-        ``output`` dictionaries and halt flags — without simulating
-        messages.  After adoption, :meth:`outputs`, :meth:`output_field`
-        and :meth:`all_halted` answer exactly as if the run had happened
-        here; transient engine state (inboxes, wakeups) is not
-        installed.
-        """
-        self.metrics = metrics
-        self.current_round = metrics.rounds
-        self.programs = {
-            v: _CompletedProgram(outputs.get(v, {}), bool(halted.get(v)))
-            for v in self.nodes
-        }
-        self._progs = [self.programs[v] for v in self.nodes]
-        self._unhalted = {
-            i for i, v in enumerate(self.nodes) if not self.programs[v].halted
-        }
-        self._always = set()
-        self._wakeups = {}
-        self._outbox = []
-
     def attach_subscriber(self, subscriber) -> Any:
         """Attach ``subscriber`` directly to this network's event stream.
 
@@ -549,17 +519,3 @@ class Network:
     def neighbors(self, v) -> tuple:
         return self._neighbors[v]
 
-
-class _CompletedProgram:
-    """Stand-in program holding a worker run's per-node results.
-
-    Exposes the two attributes drivers read after a run — ``output``
-    and ``halted`` — so a parent-side :class:`Network` can answer
-    output queries for an execution that happened in a worker process.
-    """
-
-    __slots__ = ("output", "halted")
-
-    def __init__(self, output: Dict[str, Any], halted: bool) -> None:
-        self.output = output
-        self.halted = halted

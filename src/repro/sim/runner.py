@@ -8,14 +8,55 @@ the *maximum* round count is an exact model of the parallel composition.
 after another in this process; only the *accounting* is parallel, and
 every byte of engine state stays observable.  Real processes pay off
 across independent cells instead (:mod:`repro.batch`).
+
+:class:`RunRecord` is what a run computed without the engine returns in
+place of its :class:`~repro.sim.network.Network`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
 from .metrics import RunMetrics
 from .network import DEFAULT_MAX_ROUNDS, Network, ProgramFactory
+
+
+class RunRecord:
+    """The result of a run computed without simulating it (a direct
+    route or a dense kernel).
+
+    It answers the reads drivers make of a finished
+    :class:`~repro.sim.network.Network` — ``metrics``, :meth:`outputs`
+    and :meth:`output_field` — with what the engine would have left.
+    ``outputs`` maps each node, in the engine's node order, to its
+    output dict; it may be a zero-argument callable instead, called on
+    the first read (at n = 10^6 a dense kernel's arrays are cheap but a
+    million small dicts are not, and large-n drivers never read them).
+    """
+
+    def __init__(
+        self,
+        metrics: RunMetrics,
+        outputs: Union[Dict[Any, Dict[str, Any]], Callable[[], Dict[Any, Dict[str, Any]]]],
+    ) -> None:
+        self.metrics = metrics
+        self._outputs = outputs
+
+    def outputs(self) -> Dict[Any, Dict[str, Any]]:
+        if callable(self._outputs):
+            self._outputs = self._outputs()
+        return self._outputs
+
+    def output_field(self, key: str) -> Dict[Any, Any]:
+        return {
+            v: fields[key] for v, fields in self.outputs().items() if key in fields
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"RunRecord(rounds={self.metrics.rounds}, "
+            f"messages={self.metrics.traffic.messages})"
+        )
 
 
 class ParallelRunError(RuntimeError):

@@ -4,7 +4,7 @@ CI's ``cmp`` steps compare two runs of one commit, so a change that
 alters every row the same way passes them.  This file pins the
 ``canonical_line`` of a fixed set of ``kdom``, ``mst`` and ``partition``
 cells — the ``--fast`` grids, the perfbench sweep specs and perfbench
-serve's ``partition`` and ``kdom`` cells — against a recording.
+serve's ``partition``, ``kdom`` and ``mst`` cells — against a recording.
 
 A ``kdom`` row pins FastDOM_G's ``dominators``, ``clusters``, ``rounds``
 and per-stage ``breakdown``.  Its ``metrics`` block covers only the
@@ -37,7 +37,8 @@ PERFBENCH_SWEEP = (
 #: The perfbench ``serve`` workload's ``partition`` specs and ks.
 PERFBENCH_SERVE_PARTITION = ("tree:n=16", "tree:n=24", "tree:n=32")
 PERFBENCH_SERVE_KS = (2, 3, 4)
-#: Its ``kdom`` specs: the partition trees plus two random graphs.
+#: Its ``kdom`` and ``mst`` specs: the partition trees plus two random
+#: graphs.
 PERFBENCH_SERVE_KDOM = PERFBENCH_SERVE_PARTITION + (
     "random:n=16,p=0.2",
     "random:n=24,p=0.15",
@@ -65,6 +66,12 @@ def golden_cells():
         for k in PERFBENCH_SERVE_KS
     ]
     cells += [SweepCell("kdom", "random:n=120,p=0.04", 0, k) for k in (1, 13)]
+    cells += [
+        SweepCell("mst", spec, seed, k)
+        for spec in PERFBENCH_SERVE_KDOM
+        for seed in (0, 1)
+        for k in PERFBENCH_SERVE_KS
+    ]
     return cells
 
 

@@ -84,7 +84,7 @@ class TestStructure:
         roots = {
             v
             for v in g.nodes
-            if net.programs[v].output["is_root"]
+            if net.outputs()[v]["is_root"]
         }
         for fragment in fragments:
             assert len(fragment & roots) == 1
@@ -100,7 +100,7 @@ class TestStructure:
         g = weighted(random_connected_graph(60, 0.06, seed=4), 5)
         parents, _fragments, net = simple_mst_forest(g, 3)
         for v in g.nodes:
-            for c in net.programs[v].output["children"]:
+            for c in net.outputs()[v]["children"]:
                 assert parents[c] == v
 
     def test_large_k_single_fragment_is_mst(self):
@@ -147,7 +147,7 @@ class TestFragmentIdentity:
                 owner[v] = id(fragment)
         for fragment in fragments:
             for v in fragment:
-                believed = net.programs[v].output["fragment_id"]
+                believed = net.outputs()[v]["fragment_id"]
                 assert owner[believed] == owner[v], (v, believed)
 
     def test_believed_ids_never_cross_fragments(self):
@@ -163,5 +163,5 @@ class TestFragmentIdentity:
             for v in fragment:
                 owner[v] = index
         for v in g.nodes:
-            believed = net.programs[v].output["fragment_id"]
+            believed = net.outputs()[v]["fragment_id"]
             assert owner[believed] == owner[v]

@@ -3,26 +3,30 @@
 A family maps each input kind to argument tuples for the stages of
 that kind (``routes.check_family`` runs them):
 
-========== ====================================== ======================
-kind       arguments                              stages
-========== ====================================== ======================
-``graph``  ``(graph, k)``                         ``simple_mst_forest``
-``tree``   ``(tree, root, t_parent, k)``          ``dom_partition``,
-                                                  ``fastdom_tree``,
-                                                  ``tree_kdominating_set``
-``forest`` ``(tree, clusters, t_parent, radius)`` ``run_balanced_dom_on_forest``
-``bfs``    ``(graph, root, word_limit)``          ``build_bfs_tree``
-========== ====================================== ======================
+============ ====================================== ======================
+kind         arguments                              stages
+============ ====================================== ======================
+``graph``    ``(graph, k)``                         ``simple_mst_forest``
+``tree``     ``(tree, root, t_parent, k)``          ``dom_partition``,
+                                                    ``fastdom_tree``,
+                                                    ``tree_kdominating_set``
+``forest``   ``(tree, clusters, t_parent, radius)`` ``run_balanced_dom_on_forest``
+``bfs``      ``(graph, root, word_limit)``          ``build_bfs_tree``
+``pipeline`` ``(graph, fragment_of, root,           ``run_pipeline``
+             eliminate_cycles)``
+============ ====================================== ======================
 
 The ``perfbench`` families are the traffic production serves: every
 distinct call a stage receives while the ``kdom``, ``partition`` and
 ``mst`` workloads run the perfbench sweep and serve cells of one graph
-spec, and while the three DOM_Partition ladders run on the spec's
-spanning trees, recorded by spies at the stages' call sites.
+spec, while the three DOM_Partition ladders run on the spec's spanning
+trees, and while the singleton-fragment MST baselines run on its
+weighted graphs, recorded by spies at the stages' call sites.
 """
 
 import functools
 import importlib
+import inspect
 
 import pytest
 from hypothesis import strategies as st
@@ -42,13 +46,15 @@ from repro.graphs import (
     bfs_tree,
     broom_tree,
     caterpillar_tree,
+    grid_graph,
     path_graph,
     random_connected_graph,
     random_tree,
     star_graph,
 )
+from repro.mst import flood_collect_mst, pipeline_only_mst
 
-from ..conftest import pruefer_trees
+from ..conftest import pruefer_trees, weighted_graphs
 
 
 def _workloads_by_spec():
@@ -82,9 +88,14 @@ CALL_SITES = {
         tuple(f"repro.core.partition_{name}" for name in ("basic", "bounded", "fast")),
     ),
     "build_bfs_tree": ("bfs", ("repro.mst.pipeline",)),
+    "run_pipeline": ("pipeline", ("repro.mst.fast_mst", "repro.mst.flood_collect")),
 }
+#: The arguments each kind's stages are recorded with.
+ARITY = {"graph": 2, "tree": 4, "forest": 4, "bfs": 3, "pipeline": 4}
 #: Held unspied: the spanning trees the ladders run on add forests only.
 LADDERS = (dom_partition, dom_partition_1, dom_partition_2)
+#: Pipeline over singleton fragments, with and without the red rule.
+BASELINES = (pipeline_only_mst, flood_collect_mst)
 
 
 def _key(args):
@@ -121,7 +132,12 @@ def perfbench(spec):
     found = {kind: {} for kind, _modules in CALL_SITES.values()}
 
     def spy(stage, kind):
-        def record(*args):
+        signature = inspect.signature(stage)
+
+        def record(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            args = tuple(call.arguments.values())[: ARITY[kind]]
             if kind == "forest":  # DOM_Partition reuses the member sets
                 args = (args[0], {t: set(m) for t, m in args[1].items()}) + args[2:]
             found[kind].setdefault(_key(args), args)
@@ -146,6 +162,9 @@ def perfbench(spec):
                         run.fn(graph, SweepCell(workload, spec, seed, k))
             for k in MST_KS:
                 spies["simple_mst_forest"](cache.get(spec, seed, weighted=True), k)
+            if "mst" in PERFBENCH[spec] and seed in TRAFFIC_SEEDS:
+                for baseline in BASELINES:
+                    baseline(cache.get(spec, seed, weighted=True))
             tree, root, parent = spanning_tree(cache.get(spec, seed))
             for ladder in LADDERS:
                 for k in KS:
@@ -250,3 +269,36 @@ def rooted_forests(draw):
             component = sorted(bfs_tree(forest, v)[1])
             parents.update(bfs_tree(forest, draw(st.sampled_from(component)))[1])
     return forest, {v: {v} for v in forest.nodes}, parents, None
+
+
+#: Paths, stars and grids for the Pipeline row, by their test ids.
+PIPELINE_SHAPES = {
+    "path": lambda: path_graph(30),
+    "star": lambda: star_graph(30),
+    "grid": lambda: grid_graph(6, 7),
+}
+
+
+@st.composite
+def fragment_maps(draw, graph):
+    """Singleton fragments, or up to six fragments drawn at random (not
+    necessarily connected: Pipeline contracts whatever it is given)."""
+    nodes = sorted(graph.nodes)
+    if draw(st.booleans()):
+        return {v: v for v in nodes}
+    labels = draw(st.lists(st.integers(0, 5), min_size=len(nodes), max_size=len(nodes)))
+    return dict(zip(nodes, labels))
+
+
+@st.composite
+def pipeline_inputs(draw, graphs=weighted_graphs(min_nodes=1, max_nodes=30)):
+    """A ``pipeline`` input: a graph, its weights sometimes folded onto
+    {0, 1, 2} so edges tie, a fragment map, a drawn root and the red
+    rule on or off."""
+    graph = draw(graphs)
+    if draw(st.booleans()):
+        graph = graph.copy()
+        for u, v, w in list(graph.weighted_edges()):
+            graph.set_weight(u, v, w % 3)
+    root = draw(st.sampled_from(sorted(graph.nodes)))
+    return graph, draw(fragment_maps(graph)), root, draw(st.booleans())

@@ -19,8 +19,15 @@ from repro.core.small_dom_set import direct_small_dom_set
 from repro.core.spanning_forest import simple_mst_forest
 from repro.graphs import Graph, assign_unique_weights, path_graph, random_connected_graph
 from repro.graphs.partition import Cluster, Partition
+from repro.mst import run_pipeline
 from repro.obs import observe
-from repro.sim import MessageTooLarge, ParallelRunError, RoundLimitExceeded, RunMetrics
+from repro.sim import (
+    MessageTooLarge,
+    ParallelRunError,
+    RoundLimitExceeded,
+    RunMetrics,
+    UnserializablePayload,
+)
 from repro.sim.dense import HAVE_NUMPY
 from repro.sim.network import DEFAULT_MAX_ROUNDS
 from repro.sim.runner import StagedRun
@@ -135,6 +142,14 @@ ERRORS = {
     "unknown-backend": (
         lambda mp, b: dom_partition(P4, 0, CHAIN, 2, backend="sparse"),
         ValueError, "unknown backend", (DIRECT,),
+    ),
+    "pipeline-word-limit": (
+        lambda mp, b: run_pipeline(SPARSE, {v: v for v in SPARSE.nodes}, word_limit=5),
+        MessageTooLarge, None, (ENGINE, DIRECT),
+    ),
+    "pipeline-long-fragment-id": (
+        lambda mp, b: run_pipeline(SPARSE, {v: f"fragment-{v:030}" for v in SPARSE.nodes}),
+        UnserializablePayload, None, (ENGINE, DIRECT),
     ),
     "cycle-tree-kdominating-set": (
         lambda mp, b: tree_kdominating_set(P4, 0, {1: 2, 2: 1, 3: 2}, 1, backend=b),

@@ -123,3 +123,30 @@ def bfs(graph, root, parents, depths):
     for v, p in parents.items():
         assert (p is None) == (v == root)
         assert p is None or G.has_edge(v, p) and depths[p] == depths[v] - 1
+
+
+def pipeline(graph, fragment_of, root, eliminate_cycles, selected, outputs):
+    """Procedure Pipeline: the selected edges are an MST of the fragment
+    graph, which keeps the lightest edge between each pair of fragments
+    (every MST has the same weights); with the red rule on, each node
+    upcasts at most N - 1 edges (Lemma 5.1), in order and without
+    running dry (Lemma 5.3)."""
+    G = nx_graph(graph)
+    F = nx.Graph()
+    F.add_nodes_from(fragment_of.values())
+    for u, v, w in G.edges(data="weight"):
+        fu, fv = fragment_of[u], fragment_of[v]
+        if fu != fv and (not F.has_edge(fu, fv) or w < F[fu][fv]["weight"]):
+            F.add_edge(fu, fv, weight=w)
+    S = nx.Graph()
+    S.add_nodes_from(F)
+    S.add_edges_from((fragment_of[a], fragment_of[b]) for a, b in selected)
+    assert all(G.has_edge(a, b) for a, b in selected)
+    assert len(selected) == len(F) - 1 and nx.is_tree(S), "not a spanning tree"
+    assert sorted(G[a][b]["weight"] for a, b in selected) == sorted(
+        d["weight"] for _a, _b, d in nx.minimum_spanning_edges(F)
+    ), "not a minimum spanning tree"
+    if eliminate_cycles:
+        for v, out in outputs.items():
+            assert out["upcast_count"] <= len(F) - 1, f"node {v} upcast too much"
+            assert out["order_violations"] == out["pipelining_violations"] == 0

@@ -5,13 +5,13 @@ A stage has up to three routes, all called on the same arguments:
 * **engine** — the call inside ``observe()``: the stage's programs run
   on the event engine, and what the subscriber sees must account for
   the result exactly (``Row.shown``);
-* **direct** — the call unobserved, with ``Network.run`` patched to
-  fail, so the engine-free port must serve it;
+* **direct** — the call unobserved, with ``Network`` patched to fail
+  when built or run, so the engine-free port must serve it;
 * **dense** — ``backend="dense"``, unobserved and with the engine
   forbidden too; skipped when numpy does not import.
 
-``tree_kdominating_set`` and ``build_bfs_tree`` have no direct route:
-unobserved, their reference backend still simulates.
+Only ``tree_kdominating_set`` has no direct route: unobserved, its
+reference backend still simulates.
 
 The engine route is the reference.  Every output of the other routes
 must equal the engine's either **in order** (sequences, a set's
@@ -32,6 +32,7 @@ from repro.core.partition_common import (
     run_balanced_dom_on_forest,
 )
 from repro.core.spanning_forest import simple_mst_forest
+from repro.mst import run_pipeline
 from repro.obs import Subscriber, observe
 from repro.primitives import build_bfs_tree
 from repro.sim import Network
@@ -85,15 +86,27 @@ def _staged(result):
 
 
 def _network(*names):
-    """A result whose last element is the run (a Network or DenseRun)."""
+    """A result whose last element is the run (a Network or RunRecord):
+    each node's outputs with their keys in the order written."""
 
     def outputs(result):
         *fields, run = result
         out = dict(zip(names, fields))
-        out.update(outputs=run.outputs(), metrics=_metrics(run.metrics))
+        out.update(
+            outputs={v: list(node.items()) for v, node in run.outputs().items()},
+            metrics=_metrics(run.metrics),
+        )
         return out
 
     return outputs
+
+
+def _pipeline(result):
+    """``run_pipeline``'s (selected, staged, run)."""
+    selected, staged, run = result
+    out = _network("selected")((selected, run))
+    out.update(breakdown=staged.breakdown(), combined=_metrics(staged.combined))
+    return out
 
 
 def _balanced_dense(tree, clusters, t_parent, radius=None):
@@ -186,10 +199,19 @@ ROUTES = {
         ),
         Row(
             "build_bfs_tree", "bfs", build_bfs_tree, dense=_dense(build_bfs_tree),
-            direct=False, outputs=_network("parents", "depths"),
+            direct=True, outputs=_network("parents", "depths"),
             rules=dict(NETWORK_RULES, parents=SAME, depths=SAME),
             shown=_sends("WAVE", "ACCEPT", "REJECT", "ECHO", "MFIN"),
             oracle=lambda a, out: oracle.bfs(*a[:2], out["parents"], out["depths"]),
+        ),
+        Row(
+            "run_pipeline", "pipeline", run_pipeline, dense=None, direct=True,
+            outputs=_pipeline,
+            rules=dict(NETWORK_RULES, selected=SAME, breakdown=SAME, combined=SAME),
+            shown=_sends("FRG", "EDG", "TRM", "SEL", "DON"),
+            oracle=lambda a, out: oracle.pipeline(
+                *a, out["selected"], {v: dict(f) for v, f in out["outputs"].items()}
+            ),
         ),
     )
 }
@@ -225,6 +247,7 @@ def _engine_forbidden(*_args, **_kwargs):
 
 def unobserved(call, args):
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "__init__", _engine_forbidden)
         patch.setattr(Network, "run", _engine_forbidden)
         return call(*args)
 

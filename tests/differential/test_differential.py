@@ -11,7 +11,8 @@ its families and its error cases:
   ``fastdom_tree`` and ``tree_kdominating_set``;
 * tests/core/test_dense_equivalence.py — the same three rows on the
   trees their dense route was first checked on;
-* tests/primitives/test_dense_primitives.py — ``build_bfs_tree``.
+* tests/primitives/test_dense_primitives.py — ``build_bfs_tree``;
+* tests/mst/test_pipeline_port.py — ``run_pipeline``.
 """
 
 import pytest

@@ -13,6 +13,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.primitives import build_bfs_tree
+from repro.sim import FaultConfig, FaultInjector
 
 
 CASES = [
@@ -64,7 +65,7 @@ class TestBFSTree:
         g = grid_graph(5, 5)
         parents, _depths, net = build_bfs_tree(g, 0)
         for v in g.nodes:
-            for c in net.programs[v].output["children"]:
+            for c in net.outputs()[v]["children"]:
                 assert parents[c] == v
 
     def test_nontrivial_root(self):
@@ -72,3 +73,25 @@ class TestBFSTree:
         root = 13
         _parents, depths, _net = build_bfs_tree(g, root)
         assert depths == bfs_distances(g, root)
+
+
+class TestFaultedBFS:
+    @pytest.mark.parametrize(
+        "graph,drop_rate,rounds",
+        [(grid_graph(3, 3), 0.1, 7), (grid_graph(5, 5), 0.1, 12), (path_graph(6), 0.2, 3)],
+    )
+    def test_lost_message_ends_the_run_when_quiet(self, graph, drop_rate, rounds):
+        # A dropped WAVE or ECHO leaves its receiver waiting for good;
+        # the run stops at the first round with nothing left to deliver
+        # instead of exhausting the round budget.
+        faults = FaultInjector(FaultConfig(drop_rate=drop_rate, seed=13))
+        _parents, _depths, net = build_bfs_tree(graph, 0, faults=faults)
+        assert net.metrics.dropped_messages > 0
+        assert net.metrics.rounds == rounds
+        assert not net.report().completed
+
+    def test_delays_alone_still_complete(self):
+        faults = FaultInjector(FaultConfig(delay_rate=0.3, max_delay=2, seed=3))
+        parents, _depths, net = build_bfs_tree(grid_graph(4, 4), 0, faults=faults)
+        assert net.metrics.rounds == 34 and net.report().completed
+        assert len(parents) == 16

@@ -1,4 +1,4 @@
-"""The BFS tree's dense route against its engine route: the
+"""The BFS tree's direct and dense routes against its engine route: the
 ``build_bfs_tree`` row of the route table (tests/differential/routes.py).
 The dense column is skipped when numpy does not import."""
 

@@ -147,6 +147,29 @@ class TestDelay:
         delay = net.faults.plan.by_kind("delay")[0].detail
         assert net.programs[1].output["got"] == 1 + delay
 
+    def test_pending_crashes_block_quiescence(self):
+        # Node 1 never halts; its crash at round 6 settles the run, so a
+        # quiet stop before it would report the run incomplete.
+        class Waiter(NodeProgram):
+            TICK_EVERY_ROUND = False
+
+            def on_start(self):
+                if self.node == 0:
+                    self.halt()
+
+            def on_round(self, inbox):
+                pass
+
+        for injector in (
+            FaultInjector(FaultConfig(crashes={1: 6})),
+            FaultInjector.replay(FaultPlan(0, [FaultEvent(6, "crash", 1, None, -1)])),
+        ):
+            report = Network(two_nodes(), faults=injector).run(
+                Waiter, stop_when_quiet=True, max_rounds=50
+            )
+            assert report.rounds == 6 and report.completed
+            assert report.crashed() == (1,)
+
 
 class TestCrash:
     def test_crashed_node_stops_participating(self):
