@@ -9,49 +9,54 @@ run:
 * ``repro serve`` hands each cache miss to one long-lived
   :meth:`SharedPool.imap` call.
 
-Every route runs on a :class:`SharedPool`, the only place a
-``multiprocessing`` pool is built.  When one is active (entered as a
-context manager on the calling thread or task, or passed explicitly)
-it persists across calls, so repeated fan-outs pay worker startup once
+Every route runs on a :class:`SharedPool`, the only place worker
+processes are started.  When one is active (entered as a context
+manager on the calling thread or task, or passed explicitly) it
+persists across calls, so repeated fan-outs pay worker startup once
 and worker-side caches (graph regeneration, imported workload modules)
 stay warm.  Without one, each call runs on a single-use
 ``SharedPool``, with the same crash and hang recovery.
 
-**Draining** is event-driven: each task posts its outcome from its
-``apply_async`` callback onto the queue of the call's
-:class:`TaskSource`, which the draining thread blocks on.  ``repro
-serve`` keeps one source open and hands each cache miss to it.
+**One pipe per worker, no helper thread.**  A worker is a plain
+``multiprocessing.Process`` at one end of its own duplex pipe, running
+one task at a time.  The thread that drains :meth:`SharedPool.imap`
+sends each task to an idle worker itself, then blocks in
+:func:`multiprocessing.connection.wait` on the busy workers' pipes,
+their process sentinels and the wake pipe of the call's
+:class:`TaskSource`: a finished task, a dead worker and a newly handed
+item each wake it at once.  ``repro serve`` keeps one source open and
+hands each cache miss to it.
 
 Determinism contract: results are *tagged with their submission index*
 inside the worker, so callers can always reassemble submission order
 regardless of completion order.  Everything that crosses the process
 boundary (task functions, items, results) must be picklable; task
 functions must be module-level (or picklable callables), which is why
-the sweep keeps its own at module scope.
+the sweep keeps its own at module scope.  A task whose item or result
+does not pickle ends as that task's ``"error"`` outcome.
 
 **Fault tolerance** (docs/robustness.md): a worker that *dies* mid-task
-is detected by watching the pool's pid set; a worker that *hangs*
-(livelock, SIGSTOP, a task that never returns) is detected by the
-per-task ``deadline_s`` watchdog.  Either way the pool is torn down
-(SIGKILL — SIGTERM cannot kill a stopped process), respawned after a
-capped exponential backoff, and unfinished tasks are resubmitted.  A
-task blamed ``max_attempts`` times is **quarantined**: yielded with
-status ``"quarantined"`` instead of being retried forever, so one
-poison task degrades the batch instead of crashing it.
+is seen by its process sentinel; a worker that *hangs* (livelock,
+SIGSTOP, a task that never returns) by the per-task ``deadline_s``,
+counted from dispatch.  Either way only that worker is SIGKILLed
+(SIGTERM cannot kill a stopped process) and replaced after a capped
+exponential backoff, and only its task is charged an attempt and
+resubmitted.  A task charged ``max_attempts`` times is **quarantined**:
+yielded with status ``"quarantined"`` instead of being retried forever,
+so one poison task degrades the batch instead of crashing it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.pool
 import os
 import pickle
-import queue
 import signal
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from contextvars import ContextVar
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -110,6 +115,32 @@ def _invoke(
         return index, "error", _portable_exception(exc)
 
 
+def _serve(conn: Connection, parent_end: Connection) -> None:
+    """A worker's life: run the tasks ``conn`` delivers, one at a time,
+    until the parent's end closes.
+
+    SIGTERM gets its default action back, so a handler inherited from
+    the parent (``repro serve`` installs one) cannot keep the worker
+    alive, and the inherited copy of the parent's end is closed, so the
+    parent's death reads as end of file here.  ``_invoke`` is looked up
+    at call time: a tracer may wrap it by name.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent_end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        outcome = _invoke(task)
+        try:
+            conn.send(outcome)
+        except OSError:  # the parent is gone
+            return
+        except Exception as exc:  # the result does not pickle
+            conn.send((outcome[0], "error", _portable_exception(exc)))
+
+
 # ---------------------------------------------------------------------------
 # The persistent shared pool
 # ---------------------------------------------------------------------------
@@ -157,26 +188,15 @@ class TaskQuarantinedError(RuntimeError):
 #: pool that pool-agnostic call sites (run_sweep) route through.
 _ACTIVE: ContextVar[Optional[SharedPool]] = ContextVar("shared_pool", default=None)
 
-#: Seconds between liveness and deadline checks while tasks are in
-#: flight.  The drain loop waits at most this long for an outcome, and
-#: runs the checks at least this often even while outcomes keep coming.
-_POLL_INTERVAL = 0.005
-
-#: Tags of the events a :class:`TaskSource` queue carries besides task
-#: outcomes (which carry the token of the pool incarnation that ran them).
-_ITEM = "item"
-_CLOSE = "close"
-
 
 class TaskSource:
     """The items of one :meth:`SharedPool.imap` call, handed over while
     it runs.
 
     :meth:`put` numbers an item with its submission index and wakes the
-    draining thread; :meth:`close` says no more will come, and the call
-    ends once every item handed over has finished.  ``imap`` runs a list
-    as a source closed up front.  The same queue carries the outcomes
-    the pool's result thread posts, so one wait serves both.
+    draining thread through the source's wake pipe; :meth:`close` says
+    no more will come, and the call ends once every item handed over
+    has finished.  ``imap`` runs a list as a source closed up front.
 
     ``items`` maps the index of every unfinished item to the item; a
     consumer finds an outcome's item there until it resumes the
@@ -186,11 +206,12 @@ class TaskSource:
     def __init__(self, items: Iterable[Any] = ()) -> None:
         self.items: Dict[int, Any] = {}
         self.closed = False
-        self._events: "queue.SimpleQueue[Tuple[Any, Any, Any]]" = (
-            queue.SimpleQueue()
-        )
+        self._handed: List[Tuple[int, float]] = []
         self._lock = threading.Lock()
         self._count = 0
+        # At most one wake message is ever unread; ``_woken`` says so.
+        self._wake, self._waker = multiprocessing.Pipe(duplex=False)
+        self._woken = False
         for item in items:
             self.put(item)
 
@@ -202,7 +223,8 @@ class TaskSource:
             index = self._count
             self._count += 1
             self.items[index] = item
-            self._events.put((_ITEM, index, time.monotonic()))
+            self._handed.append((index, time.monotonic()))
+            self._wake_drain()
         return index
 
     def close(self) -> None:
@@ -210,37 +232,47 @@ class TaskSource:
         with self._lock:
             if not self.closed:
                 self.closed = True
-                self._events.put((_CLOSE, None, None))
+                self._wake_drain()
+
+    def _wake_drain(self) -> None:
+        if not self._woken:
+            self._woken = True
+            self._waker.send_bytes(b"")
+
+    def _take(self) -> Tuple[List[Tuple[int, float]], bool]:
+        """The draining side: the ``(index, hand-over time)`` pairs
+        handed over since the last take, and whether the source is
+        closed."""
+        with self._lock:
+            if self._woken:
+                self._woken = False
+                self._wake.recv_bytes()
+            handed, self._handed = self._handed, []
+            return handed, self.closed
 
 
-class _Pool(multiprocessing.pool.Pool):
-    """The ``multiprocessing`` pool :class:`SharedPool` runs on.
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the index
+    of the task it holds (``None`` while it is idle and any call may
+    take it)."""
 
-    ``Pool.terminate`` drains the task pipe message by message so a
-    blocked task-handler thread can finish.  A worker SIGKILLed while
-    reading a task leaves a torn message there, which ``recv`` misparses
-    (``EOFError``) and which could even block it; this pool drains raw
-    bytes instead — the pool is being discarded, so the tasks are moot.
+    def __init__(self) -> None:
+        self.conn, child_end = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_serve, args=(child_end, self.conn), daemon=True
+        )
+        self.process.start()
+        child_end.close()
+        self.task: Optional[int] = None
+        self.dispatched = 0.0
 
-    ``terminate`` also ends workers with SIGKILL: the pool replaces a
-    worker the moment it dies, and a replacement forked from a process
-    with a SIGTERM handler (``repro serve``) would survive SIGTERM.
-    """
-
-    @staticmethod
-    def Process(ctx, *args, **kwds):
-        process = ctx.Process(*args, **kwds)
-        process.terminate = process.kill
-        return process
-
-    @staticmethod
-    def _help_stuff_finish(inqueue, task_handler, size):
-        inqueue._rlock.acquire()
-        reader = inqueue._reader
-        while task_handler.is_alive() and reader.poll():
-            if not os.read(reader.fileno(), 1 << 16):
-                break  # end of file: no writer is left to unblock
-            time.sleep(0)
+    def stop(self) -> None:
+        """SIGKILL the worker, reap it and release its descriptors
+        (SIGKILL: a stopped worker never handles SIGTERM)."""
+        self.process.kill()
+        self.process.join()
+        self.process.close()
+        self.conn.close()
 
 
 class SharedPool:
@@ -259,30 +291,37 @@ class SharedPool:
     works too and takes precedence.  Exiting shuts the workers down;
     :meth:`close` is idempotent and also safe to call directly.
 
+    Workers start at the first task that finds none idle, up to
+    ``workers`` of them.  Each holds at most one task, so a task in
+    flight is a task running, and a worker's failure names its task.
+    Calls may overlap (two live ``imap`` generators, or calls on two
+    threads): each waits on, recovers and on an early end kills only
+    the workers holding its own tasks.  A call that finds every worker
+    held by another starts one more, retired when a call ends, so it
+    never waits on another call's consumer.
+
     **Crash recovery.**  A worker that dies mid-task (hard exit, OOM
-    kill) would hang a plain ``multiprocessing.Pool`` consumer forever:
-    the pool replaces the worker but the task it held is silently lost.
-    ``SharedPool`` watches the worker pid set while draining; when it
-    changes, the pool is torn down, respawned, and every unfinished
-    task resubmitted.  Tasks must therefore be idempotent — true for
-    everything in this repository, where tasks are deterministic
-    simulations.
+    kill) is seen by its process sentinel.  The outcome it managed to
+    send is kept; otherwise its task is charged an attempt and
+    resubmitted, and the worker is replaced.  Tasks must therefore be
+    idempotent — true for everything in this repository, where tasks
+    are deterministic simulations.  Other workers keep running theirs.
 
     **Hang recovery.**  ``deadline_s`` arms a watchdog: a task in
-    flight longer than the deadline means its worker is hung (infinite
-    loop, SIGSTOP, deadlock), which no pid-set watching can see.  The
-    pool is killed (SIGKILL — a stopped worker ignores SIGTERM) and
-    rebuilt exactly as for a crash.
+    flight longer than the deadline since its dispatch means its worker
+    is hung (infinite loop, SIGSTOP, deadlock), which no sentinel can
+    see.  That worker is SIGKILLed and replaced, and its task charged,
+    exactly as for a crash.
 
-    **Blame, retries, quarantine.**  Each recovery increments the
-    attempt count of the tasks *blamed* for it — the deadline-expired
-    tasks on a hang, the in-flight tasks on a crash (at most
-    ``workers`` of them, thanks to windowed dispatch; a planned chaos
-    op narrows blame to the task that carries it).  Unblamed casualties
-    are resubmitted for free.  A task blamed ``max_attempts`` times is
-    yielded with status ``"quarantined"`` and not retried.  Only
-    ``max_restarts`` *consecutive* recoveries with no progress (no
-    result, no quarantine) raise :class:`PoolCrashError`.
+    **Retries, quarantine.**  A task charged ``max_attempts`` times is
+    yielded with status ``"quarantined"`` and not retried.  A round of
+    failures counts as one restart, however its failures spread over
+    wake-ups: a task dispatched before the last restart for the same
+    reason joins that restart when it fails.  Only ``max_restarts``
+    *consecutive* restarts with no progress (no result, no quarantine)
+    raise :class:`PoolCrashError`.  A call that ends early (its
+    consumer stops, or it raises) kills the workers still running its
+    tasks, so a later call never receives their outcomes.
     """
 
     def __init__(
@@ -312,55 +351,50 @@ class SharedPool:
         #: Fabric events (worker_killed / task_retried / task_quarantined)
         #: in emission order; also forwarded to the ambient obs session.
         self.fabric_log: List[Dict[str, Any]] = []
-        self._pool: Optional[Any] = None
+        self._workers: List[_Worker] = []
+        # Guards the worker list and the claiming of idle workers: calls
+        # on other threads share them.
+        self._lock = threading.Lock()
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
-    def _ensure(self) -> Any:
-        if self._closed:
-            raise RuntimeError("SharedPool is closed")
-        if self._pool is None:
-            self._pool = _Pool(self.workers)
-        return self._pool
+    def _claim(self, index: int, overflow: bool) -> Optional[_Worker]:
+        """An idle worker, else a new one while the pool is below its
+        size (or past it, with ``overflow``), now holding task
+        ``index``; ``None`` if every worker is busy."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("SharedPool is closed")
+            worker = next((w for w in self._workers if w.task is None), None)
+            if worker is None:
+                if len(self._workers) >= self.workers and not overflow:
+                    return None
+                worker = _Worker()
+                self._workers.append(worker)
+            worker.task = index
+            return worker
 
-    def _teardown(self) -> None:
-        """Kill the workers outright and discard the pool.
-
-        SIGKILL rather than ``Pool.terminate``'s SIGTERM alone: a
-        SIGSTOPped worker never handles SIGTERM, so ``join`` would hang
-        on exactly the failure mode the watchdog exists to clear.
-        """
-        if self._pool is None:
-            return
-        pool, self._pool = self._pool, None
-        for proc in list(pool._pool):
-            if proc.is_alive():
-                try:
-                    os.kill(proc.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-        # A worker killed while blocked on the task queue dies *holding*
-        # the queue's reader lock, and one killed mid-result-write dies
-        # holding the result queue's writer lock; ``Pool.terminate``
-        # would deadlock acquiring them (``_help_stuff_finish``).  The
-        # pool is being discarded, so force-release both — a release of
-        # an already-free lock raises and is ignored.
-        for lock in (
-            getattr(pool._inqueue, "_rlock", None),
-            getattr(pool._outqueue, "_wlock", None),
-        ):
-            try:
-                if lock is not None:
-                    lock.release()
-            except Exception:
-                pass
-        pool.terminate()
-        pool.join()
+    def _retire(self, workers: List[_Worker]) -> None:
+        """Stop ``workers`` (those :meth:`close` has not), and idle
+        workers past the pool's size."""
+        with self._lock:
+            workers = [w for w in workers if w in self._workers]
+            for worker in workers:
+                self._workers.remove(worker)
+            idle = [w for w in self._workers if w.task is None]
+            surplus = idle[: max(0, len(self._workers) - self.workers)]
+            for worker in surplus:
+                self._workers.remove(worker)
+        for worker in workers + surplus:
+            worker.stop()
 
     def close(self) -> None:
         """Shut the workers down; the pool cannot be used afterwards."""
-        self._teardown()
-        self._closed = True
+        with self._lock:
+            self._closed = True
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.stop()
 
     def __enter__(self) -> "SharedPool":
         if self._closed:
@@ -380,13 +414,11 @@ class SharedPool:
     # -- inspection --------------------------------------------------------
     @property
     def started(self) -> bool:
-        return self._pool is not None
+        return bool(self._workers)
 
     def worker_pids(self) -> Tuple[int, ...]:
         """Pids of the live workers (empty before first use)."""
-        if self._pool is None:
-            return ()
-        return tuple(p.pid for p in self._pool._pool)
+        return tuple(worker.process.pid for worker in self._workers)
 
     # -- fabric events -----------------------------------------------------
     def _emit(self, kind: str, **fields: Any) -> None:
@@ -420,17 +452,17 @@ class SharedPool:
         ``items`` is an iterable, run as a source closed up front, or an
         open :class:`TaskSource` the caller keeps handing items to; the
         call ends when the source is closed and every item handed over
-        has finished.  The pool starts at the first task.
+        has finished.  The first task starts the first worker.
 
         ``status`` is ``"ok"`` (payload = result), ``"error"`` (payload
-        = the exception the task raised; deterministic failures are
-        never retried), or ``"quarantined"`` (payload = a dict with
-        ``reason``/``attempts``; see the class docstring).  Per-call
-        ``deadline_s``/``max_attempts`` override the pool's defaults.
-        ``chaos`` is a :class:`~repro.batch.chaos.ChaosPlan` (or
-        anything with its ``op_for(index, attempt)`` shape) injecting
-        planned worker faults — the deterministic test harness for all
-        of the above.
+        = the exception the task raised, or the pickling error of its
+        item or result; deterministic failures are never retried), or
+        ``"quarantined"`` (payload = a dict with ``reason``/``attempts``;
+        see the class docstring).  Per-call ``deadline_s``/
+        ``max_attempts`` override the pool's defaults.  ``chaos`` is a
+        :class:`~repro.batch.chaos.ChaosPlan` (or anything with its
+        ``op_for(index, attempt)`` shape) injecting planned worker
+        faults — the deterministic test harness for all of the above.
         """
         deadline = deadline_s if deadline_s is not None else self.deadline_s
         attempts_cap = (
@@ -459,189 +491,189 @@ class SharedPool:
             session.registry.gauge("fabric_workers", volatile=True).max(
                 self.workers
             )
-        events = source._events
         # Items this call took and has not finished: index -> hand-over time.
         pending: Dict[int, float] = {}
         waiting: "deque[int]" = deque()
-        # Windowed dispatch: at most ``workers`` tasks in flight, so the
-        # in-flight set approximates "actually running" and a recovery
-        # blames at most one window, not the whole batch.
-        inflight: Dict[int, float] = {}
         attempts: Dict[int, int] = {}
         finished: List[Tuple[int, str, Any]] = []
-        pool: Optional[Any] = None
-        pids: set = set()
-        # Outcomes carry the token of the pool incarnation and call that
-        # ran them: a torn-down pool's, or an earlier call's on the same
-        # source, no longer match and are dropped.
-        token = object()
-        closed = progressed = False
+        # The workers holding this call's tasks (other calls hold theirs).
+        mine: List[_Worker] = []
+        # Workers found dead or past their deadline: the task to charge
+        # (``None`` if none) and the reason.
+        failed: List[Tuple[_Worker, Optional[int], str]] = []
+        progressed = False
         stalled_restarts = 0
-        checked = respawn_at = time.monotonic()
-        while True:
-            window = self.workers if time.monotonic() >= respawn_at else 0
-            while waiting and len(inflight) < window:
-                if pool is None:
-                    pool = self._ensure()
-                if not inflight:
-                    pids = set(p.pid for p in pool._pool)
-                index = waiting.popleft()
-                op = (
-                    chaos.op_for(index, attempts.get(index, 0))
-                    if chaos is not None
-                    else None
-                )
-                # The outcome rides the event: ``ApplyResult._set`` runs
-                # the callback before it marks the result ready.  The
-                # error callback sees the pool's own failures (unpicklable
-                # results); ``_invoke`` ships a task's exceptions.
-                tag = (token, index)
-                pool.apply_async(
-                    _invoke,
-                    ((fn, index, source.items[index], op),),
-                    callback=lambda outcome, tag=tag: events.put(tag + (outcome,)),
-                    error_callback=lambda exc, tag=tag: events.put(
-                        tag + ((tag[1], "error", exc),)
-                    ),
-                )
-                now = time.monotonic()
-                inflight[index] = now
-                self.dispatched += 1
-                if session is not None:
-                    tele_counter.inc(state="dispatched")
-                    tele_queue_wait.observe(now - pending[index])
-            for outcome in finished:
-                yield outcome
-                del source.items[outcome[0]]
-            finished.clear()
-            if closed and not pending:
-                return
-            try:
-                kind, index, value = events.get(
-                    timeout=_POLL_INTERVAL if inflight or waiting else None
-                )
-                while True:
-                    if kind is _ITEM:
-                        pending[index] = value
-                        waiting.append(index)
-                    elif kind is _CLOSE:
-                        closed = True
-                    elif kind is token:
-                        started = inflight.pop(index)
-                        del pending[index]
-                        self.completed += 1
-                        progressed = True
-                        if session is not None:
-                            tele_counter.inc(state="completed")
-                            tele_latency.observe(time.monotonic() - started)
-                        finished.append(value)
-                    kind, index, value = events.get_nowait()
-            except queue.Empty:
-                pass
-            now = time.monotonic()
-            if not inflight or now - checked < _POLL_INTERVAL:
-                continue
-            checked = now
-            failure = self._detect_failure(
-                inflight, pids, pool, deadline, chaos, attempts
-            )
-            if failure is None:
-                continue
-            # -- recovery: blame, quarantine, respawn, resubmit --------
-            reason, blamed = failure
-            self.restarts += 1
-            self._teardown()
-            pool, token = None, object()
-            inflight.clear()
-            self._emit("worker_killed", reason=reason, workers=self.workers)
+        respawn_at = 0.0
+        # When the last restart for each reason happened.
+        restarted_at = {"crashed": float("-inf"), "hung": float("-inf")}
+
+        def finish(index: int, outcome: Tuple[int, str, Any], since: float) -> None:
+            nonlocal progressed
+            del pending[index]
+            self.completed += 1
+            progressed = True
             if session is not None:
-                session.registry.counter(
-                    "fabric_worker_respawns", volatile=True
-                ).inc(reason=reason)
-            for index in blamed:
-                attempts[index] = attempts.get(index, 0) + 1
-                if attempts[index] >= attempts_cap:
-                    del pending[index]
-                    self.quarantined += 1
-                    progressed = True
-                    info = {"reason": reason, "attempts": attempts[index]}
-                    self._emit(
-                        "task_quarantined",
-                        task=index,
-                        attempts=attempts[index],
-                        reason=reason,
+                tele_counter.inc(state="completed")
+                tele_latency.observe(time.monotonic() - since)
+            finished.append(outcome)
+
+        handed, closed = source._take()
+        try:
+            while True:
+                for index, handed_at in handed:
+                    pending[index] = handed_at
+                    waiting.append(index)
+                handed = []
+                now = time.monotonic()
+                while waiting and now >= respawn_at:
+                    # A call holding no worker may start one past the
+                    # pool's size: it never waits on another call's tasks.
+                    worker = self._claim(waiting[0], overflow=not mine)
+                    if worker is None:
+                        break
+                    index = waiting.popleft()
+                    mine.append(worker)
+                    op = (
+                        chaos.op_for(index, attempts.get(index, 0))
+                        if chaos is not None
+                        else None
                     )
+                    try:
+                        # An idle worker waits in recv: this never blocks.
+                        worker.conn.send((fn, index, source.items[index], op))
+                    except OSError:  # it died idle, not of this task
+                        waiting.appendleft(index)
+                        failed.append((worker, None, "crashed"))
+                        break
+                    except Exception as exc:  # the item does not pickle
+                        mine.remove(worker)
+                        worker.task = None
+                        finish(index, (index, "error", exc), now)
+                        continue
+                    worker.dispatched = time.monotonic()
+                    self.dispatched += 1
                     if session is not None:
-                        tele_counter.inc(state="quarantined")
-                    finished.append((index, "quarantined", info))
-                else:
-                    self._emit(
-                        "task_retried",
-                        task=index,
-                        attempt=attempts[index],
-                        reason=reason,
-                    )
-                    if session is not None:
-                        tele_counter.inc(state="retried")
-            waiting = deque(sorted(pending))
-            stalled_restarts = 0 if progressed else stalled_restarts + 1
-            progressed = False
-            if stalled_restarts > self.max_restarts:
-                raise PoolCrashError(
-                    stalled_restarts,
-                    len(pending),
-                    tuple(source.items.pop(index) for index in waiting),
+                        tele_counter.inc(state="dispatched")
+                        tele_queue_wait.observe(now - pending[index])
+                for outcome in finished:
+                    yield outcome
+                    del source.items[outcome[0]]
+                finished.clear()
+                if closed and not pending:
+                    return
+                if not failed:
+                    handles: List[Any] = [w.conn for w in mine]
+                    handles += [w.process.sentinel for w in mine]
+                    if not closed:
+                        handles.append(source._wake)
+                    wake_at = []
+                    if deadline is not None:
+                        wake_at = [w.dispatched + deadline for w in mine]
+                    if waiting and respawn_at > now:
+                        wake_at.append(respawn_at)
+                    timeout = None
+                    if wake_at:
+                        timeout = max(0.0, min(wake_at) - time.monotonic())
+                    ready = set(wait(handles, timeout))
+                    if source._wake in ready:
+                        handed, closed = source._take()
+                    now = time.monotonic()
+                    for w in list(mine):
+                        index = w.task
+                        dead = w.process.sentinel in ready
+                        try:
+                            # A dead worker's outcome, if it sent one, is kept.
+                            if w.conn in ready or (dead and w.conn.poll()):
+                                finish(index, w.conn.recv(), w.dispatched)
+                                index = None
+                        except (EOFError, OSError):
+                            dead = True
+                        if dead:
+                            failed.append((w, index, "crashed"))
+                        elif index is None:
+                            mine.remove(w)
+                            w.task = None
+                        elif deadline is not None and now - w.dispatched > deadline:
+                            failed.append((w, index, "hung"))
+                if not failed:
+                    continue
+                # -- recovery: replace, blame, quarantine, resubmit ----
+                # A task dispatched before the last restart for the same
+                # reason failed in that restart's round, however late its
+                # failure was seen: it joins that restart.
+                fresh = any(
+                    index is None or w.dispatched >= restarted_at[reason]
+                    for w, index, reason in failed
                 )
-            # Respawn after a capped exponential backoff; the loop keeps
-            # yielding and taking items meanwhile.
-            respawn_at = time.monotonic() + min(
-                self.backoff_max_s,
-                self.backoff_base_s * (2 ** (stalled_restarts or 1)),
-            )
-
-    def _detect_failure(
-        self,
-        inflight: Dict[int, float],
-        pids: set,
-        pool: Any,
-        deadline: Optional[float],
-        chaos: Optional[Any],
-        attempts: Dict[int, int],
-    ) -> Optional[Tuple[str, List[int]]]:
-        """One watchdog pass: ``(reason, blamed_indices)`` or ``None``.
-
-        Blame narrows to the tasks carrying a *planned* chaos op when
-        one is in flight — that keeps the retry/quarantine log
-        deterministic under ``repro chaos`` replays, where organic
-        blame ("everything in flight") would depend on scheduling.
-        """
-
-        def planned(kind: str, candidates: List[int]) -> List[int]:
-            if chaos is None:
-                return []
-            return [
-                index
-                for index in candidates
-                if (chaos.op_for(index, attempts.get(index, 0)) or (None,))[0]
-                == kind
-            ]
-
-        if deadline is not None:
-            now = time.monotonic()
-            expired = [
-                index
-                for index, started in inflight.items()
-                if now - started > deadline
-            ]
-            if expired:
-                return "hung", sorted(planned("hang", expired) or expired)
-        # Liveness: the pool's maintenance thread replaces dead workers,
-        # so a changed pid set means a worker died and whatever task it
-        # held is lost.
-        if set(p.pid for p in pool._pool) != pids:
-            candidates = list(inflight)
-            return "crashed", sorted(planned("kill", candidates) or candidates)
-        return None
+                killed = Counter(reason for _w, _index, reason in failed)
+                blamed = sorted(
+                    (index, reason)
+                    for _w, index, reason in failed
+                    if index is not None
+                )
+                for w, _index, _reason in failed:
+                    mine.remove(w)
+                self._retire([w for w, _index, _reason in failed])
+                failed = []
+                for reason in sorted(killed):
+                    self._emit(
+                        "worker_killed", reason=reason, workers=killed[reason]
+                    )
+                retried = []
+                for index, reason in blamed:
+                    attempts[index] = attempts.get(index, 0) + 1
+                    if attempts[index] >= attempts_cap:
+                        del pending[index]
+                        self.quarantined += 1
+                        progressed = True
+                        info = {"reason": reason, "attempts": attempts[index]}
+                        self._emit(
+                            "task_quarantined",
+                            task=index,
+                            attempts=attempts[index],
+                            reason=reason,
+                        )
+                        if session is not None:
+                            tele_counter.inc(state="quarantined")
+                        finished.append((index, "quarantined", info))
+                    else:
+                        self._emit(
+                            "task_retried",
+                            task=index,
+                            attempt=attempts[index],
+                            reason=reason,
+                        )
+                        if session is not None:
+                            tele_counter.inc(state="retried")
+                        retried.append(index)
+                waiting.extendleft(reversed(retried))
+                if not fresh:
+                    continue
+                self.restarts += 1
+                if session is not None:
+                    session.registry.counter(
+                        "fabric_worker_respawns", volatile=True
+                    ).inc(reason="hung" if "hung" in killed else "crashed")
+                stalled_restarts = 0 if progressed else stalled_restarts + 1
+                progressed = False
+                if stalled_restarts > self.max_restarts:
+                    raise PoolCrashError(
+                        stalled_restarts,
+                        len(pending),
+                        tuple(source.items.pop(index) for index in sorted(pending)),
+                    )
+                # Dispatch (and with it any respawn) waits out a capped
+                # exponential backoff; the loop keeps yielding and taking
+                # items meanwhile.
+                now = time.monotonic()
+                restarted_at.update(dict.fromkeys(killed, now))
+                respawn_at = now + min(
+                    self.backoff_max_s,
+                    self.backoff_base_s * (2 ** (stalled_restarts or 1)),
+                )
+        finally:
+            # An early end: a later call must never receive these outcomes.
+            self._retire(mine)
 
     def map(
         self, fn: Callable[[Any], Any], items: Iterable[Any]

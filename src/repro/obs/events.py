@@ -35,6 +35,7 @@ any simulated network, so they carry ``round=-1`` / ``run=-1``:
 kind              fields
 ================ ====================================================
 worker_killed     ``reason`` (``"hung"``/``"crashed"``), ``workers``
+                  (how many were killed for that reason at once)
 task_retried      ``task`` (submission index), ``attempt``, ``reason``
 task_quarantined  ``task``, ``attempts``, ``reason``
 ================ ====================================================

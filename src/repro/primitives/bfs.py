@@ -34,9 +34,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..obs.session import current_observation
+from ..sim.errors import RoundLimitExceeded
 from ..sim.metrics import halted_metrics
 from ..sim.model import Envelope
-from ..sim.network import Network
+from ..sim.network import DEFAULT_MAX_ROUNDS, Network
 from ..sim.program import Context, NodeProgram
 from ..sim.runner import RunRecord
 
@@ -189,10 +190,13 @@ def build_bfs_tree(
     dicts (:func:`_direct_bfs`) and ``backend="dense"`` with array
     kernels.  The engine runs under an observation (only it emits
     events), under a fault plan, and for inputs outside the closed
-    form's contract, which it then fails in its own way.  A faulted run
-    stops once nothing is in flight and no delayed message or crash is
-    still to come: the program only reacts to messages, so a lost one
-    would otherwise leave it waiting out the round budget.
+    form's contract, which it then fails in its own way.  Unobserved
+    and fault-free, an absent ``root`` or a disconnected graph raises
+    the engine's :class:`RoundLimitExceeded` without stepping out its
+    round budget.  A faulted run stops once nothing is in flight and no
+    delayed message or crash is still to come: the program only reacts
+    to messages, so a lost one would otherwise leave it waiting out the
+    round budget.
     """
     if backend == "dense":
         from ..sim.dense import dense_bfs_tree, plan_bfs, require_numpy
@@ -229,13 +233,17 @@ def _direct_bfs(graph, root: Any, word_limit: int):
     at the root (0 with no neighbours).  The root's MFIN reaches depth
     d at E(root) + d, so the run ends at E(root) + M.
 
-    Returns None, so the engine runs, when ``root`` is not in the graph,
-    the graph is disconnected or ``word_limit`` is below the protocol's
-    2-word messages.
+    Returns None, so the engine runs, when ``word_limit`` is below the
+    protocol's 2-word messages.  When ``root`` is not in the graph, or
+    the graph is disconnected, some node never hears a WAVE and the
+    engine would step out its round budget: this raises its
+    :class:`RoundLimitExceeded` at once instead.
     """
     nodes = sorted(graph.nodes)  # raises as Network() would
     neighbors = {v: tuple(graph.neighbors(v)) for v in nodes}
-    if word_limit < 2 or root not in neighbors:
+    if root not in neighbors:
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
+    if word_limit < 2:
         return None
     depth = {root: 0}
     levels = [[root]]
@@ -250,7 +258,7 @@ def _direct_bfs(graph, root: Any, word_limit: int):
             break
         levels.append(level)
     if len(depth) < len(nodes):
-        return None
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
     parent: Dict[Any, Any] = {}
     children: Dict[Any, List[Any]] = {v: [] for v in nodes}
     echo: Dict[Any, int] = {}  # base(v) until the fold below

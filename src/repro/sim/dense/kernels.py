@@ -13,10 +13,10 @@ whenever an observation is active.  The unobserved reference route of
 :func:`~repro.primitives.bfs.build_bfs_tree` computes the same closed
 form over dicts, so only ``repro perf`` and the tests call this one.
 
-:func:`plan_bfs` returns ``None`` when the input is outside the
-kernel's contract (a root the graph lacks, a disconnected graph, a word
-limit below the protocol's 2-word messages), so the caller can run the
-reference engine and let it fail in its own way.
+:func:`plan_bfs` returns ``None`` for a word limit below the
+protocol's 2-word messages, so the caller can run the reference engine
+and let it fail in its own way; a root the graph lacks or a
+disconnected graph raises the engine's ``RoundLimitExceeded`` at once.
 
 :func:`forest_heights` and :func:`_group_by_level` serve the forest
 kernels (:mod:`repro.sim.dense.forest`) and the dense ``dom_partition``
@@ -29,7 +29,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .core import np
 from .csr import CSRAdjacency, csr_adjacency
+from ..errors import RoundLimitExceeded
 from ..metrics import halted_metrics
+from ..network import DEFAULT_MAX_ROUNDS
 from ..runner import RunRecord
 
 
@@ -159,14 +161,17 @@ class BFSPlan:
 
 
 def plan_bfs(graph, root, word_limit: int) -> Optional[BFSPlan]:
-    if word_limit < 2:
-        return None
+    """None (the engine runs) below 2-word messages; an absent root or a
+    disconnected graph raises :class:`RoundLimitExceeded` as the
+    reference route's ``_direct_bfs`` does."""
     csr = csr_adjacency(graph)
     if root not in csr.index:
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
+    if word_limit < 2:
         return None
     dist, levels = bfs_levels(csr, csr.index[root])
     if int(dist.min()) < 0:
-        return None  # disconnected: reference raises RoundLimitExceeded
+        raise RoundLimitExceeded(DEFAULT_MAX_ROUNDS)
     parent, offers, same_counts = min_str_prev_neighbor(csr, dist)
     return BFSPlan(csr, dist, levels, parent, offers, same_counts)
 

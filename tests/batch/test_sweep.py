@@ -20,7 +20,13 @@ from repro.batch import (
     run_cell,
     run_sweep,
 )
+from repro.batch.registry import iter_workloads
 from repro.batch.sweep import SweepCellError
+
+#: The workloads repro.batch.sweep registers itself.
+BUILT_IN = sorted(
+    w.name for w in iter_workloads() if w.fn.__module__ == "repro.batch.sweep"
+)
 
 GRID = SweepGrid(
     workload="kdom",
@@ -54,6 +60,16 @@ class TestGrid:
         grid = fast_grid()
         assert len(grid.cells()) == 8
         assert grid.meta()["cells"] == 8
+
+    @pytest.mark.parametrize("workload", BUILT_IN)
+    def test_fast_grid_runs_for_every_built_in_workload(self, workload):
+        """``repro sweep --fast --workload W``: the tree-only workloads
+        get tree specs, so no cell fails on its graph."""
+        if workload == "kdom-dense":
+            pytest.importorskip("numpy")
+        summary = run_sweep(fast_grid(workload), backend="inline")
+        assert (summary.ran, summary.complete) == (8, True)
+        assert all("error" not in row for row in summary.rows)
 
 
 class TestRunCell:

@@ -6,13 +6,9 @@ via ``deadline_s``, quarantine of poison tasks, fabric events, and
 resubmission never duplicating completed results.
 """
 
-import multiprocessing
-import multiprocessing.pool
 import os
 import signal
-import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +18,6 @@ from repro.batch import (
     TaskQuarantinedError,
     imap_completion_order,
 )
-from repro.batch.pool import _Pool
 from repro.obs import TraceBuffer, observe
 
 #: Watchdog deadline for the fault tests: generous next to the
@@ -204,27 +199,3 @@ class TestCrashErrorPayload:
 
 def _crash_always(_x):
     os._exit(13)
-
-
-def _torn_task_queue():
-    """A task queue holding what a worker killed mid-read leaves: the
-    tail of a pickled task, whose first bytes parse as a bogus length."""
-    reader, writer = multiprocessing.Pipe(duplex=False)
-    os.write(writer.fileno(), b"\x80\x04\x95\x00 rest of a task")
-    handler = SimpleNamespace(is_alive=reader.poll)  # blocked until drained
-    inqueue = SimpleNamespace(
-        _rlock=threading.Lock(), _reader=reader, _writer=writer
-    )
-    return inqueue, handler
-
-
-class TestTeardown:
-    def test_drain_discards_a_torn_task(self):
-        """The stock drain ``Pool.terminate`` runs misparses the torn
-        task; the pool SharedPool builds discards it."""
-        inqueue, handler = _torn_task_queue()
-        with pytest.raises(EOFError):
-            multiprocessing.pool.Pool._help_stuff_finish(inqueue, handler, 1)
-        inqueue, handler = _torn_task_queue()
-        _Pool._help_stuff_finish(inqueue, handler, 1)
-        assert not inqueue._reader.poll()

@@ -13,7 +13,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.primitives import build_bfs_tree
-from repro.sim import FaultConfig, FaultInjector
+from repro.sim import FaultConfig, FaultInjector, Network, RoundLimitExceeded
 
 
 CASES = [
@@ -95,3 +95,32 @@ class TestFaultedBFS:
         parents, _depths, net = build_bfs_tree(grid_graph(4, 4), 0, faults=faults)
         assert net.metrics.rounds == 34 and net.report().completed
         assert len(parents) == 16
+
+
+def _two_components():
+    graph = path_graph(4)
+    graph.add_edge(10, 11)
+    return graph
+
+
+class TestUnreachableNodes:
+    """With the root absent, or a node it cannot reach, the engine would
+    step out its 10^6-round budget; unobserved and fault-free, both
+    backends raise its error at once."""
+
+    @pytest.mark.parametrize("backend", ["reference", "dense"])
+    @pytest.mark.parametrize(
+        "graph,root", [(path_graph(4), 99), (_two_components(), 0)]
+    )
+    def test_raises_without_running_the_engine(
+        self, graph, root, backend, monkeypatch
+    ):
+        if backend == "dense":
+            pytest.importorskip("numpy")
+
+        def run(*_args, **_kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(Network, "run", run)
+        with pytest.raises(RoundLimitExceeded):
+            build_bfs_tree(graph, root, backend=backend)
