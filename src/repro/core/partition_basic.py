@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from ..graphs.distances import bfs_distances
 from ..graphs.graph import Graph
 from ..graphs.partition import Partition
 from ..sim.runner import StagedRun
 from .partition_common import (
+    ClusterForest,
     clusters_to_partition,
     log2_phase_count,
-    merge_by_center_map,
     run_balanced_dom_on_forest,
     singleton_clusters,
 )
@@ -43,7 +42,7 @@ def dom_partition_1(
         raise ValueError(
             f"DOM_Partition_1 requires n >= k + 1 (n={tree.num_nodes}, k={k})"
         )
-    t_depth = bfs_distances(tree, root)
+    forest = ClusterForest(tree, root)
     clusters = singleton_clusters(tree)
     staged = StagedRun()
     for iteration in range(1, log2_phase_count(k) + 1):
@@ -51,8 +50,9 @@ def dom_partition_1(
             # Fully contracted: nothing left to merge.
             break
         center_map, rounds, radius = run_balanced_dom_on_forest(
-            tree, clusters, t_parent
+            tree, clusters, t_parent, forest.radius(clusters), forest,
+            forest.contract(clusters),
         )
         staged.add_rounds(f"iteration-{iteration}", rounds * (2 * radius + 1))
-        clusters = merge_by_center_map(clusters, center_map, t_depth)
+        clusters = forest.merge(clusters, center_map)
     return clusters_to_partition(tree, clusters), staged

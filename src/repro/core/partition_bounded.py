@@ -27,17 +27,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..graphs.distances import bfs_distances
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
 from ..sim.runner import StagedRun
 from .partition_common import (
-    cluster_depth,
+    ClusterForest,
     log2_phase_count,
-    merge_by_center_map,
+    recompute_top,
     run_balanced_dom_on_forest,
     singleton_clusters,
-    tops_by_member,
 )
 
 
@@ -52,36 +50,39 @@ def dom_partition_2(
         raise ValueError(
             f"DOM_Partition_2 requires n >= k + 1 (n={tree.num_nodes}, k={k})"
         )
-    t_depth = bfs_distances(tree, root)
+    forest = ClusterForest(tree, root)
+    depth = forest.depth
     staged = StagedRun()
     live: Dict[Any, Set[Any]] = singleton_clusters(tree)
     out: Dict[Any, Set[Any]] = {}
     side: List[Set[Any]] = []  # the paper's set S
+    neighbors = forest.contract(live)
 
     for iteration in range(1, log2_phase_count(k) + 1):
         if not live:
             break
         # (3a) BalancedDOM on every tree of the forest, then contract.
         center_map, rounds, radius = run_balanced_dom_on_forest(
-            tree, live, t_parent
+            tree, live, t_parent, forest.radius(live), forest, neighbors
         )
         staged.add_rounds(f"iteration-{iteration}", rounds * (2 * radius + 1))
-        live = merge_by_center_map(live, center_map, t_depth)
+        live = forest.merge(live, center_map)
         # (3b) Remove sufficiently deep clusters to the output.  The
         # distributed depth test costs O(k) once per removed cluster
         # (§3.2.3's implementation note); clusters test in parallel so
         # one O(k) charge per iteration with removals suffices.
-        removed_any = False
-        for top in sorted(live, key=str):
-            if cluster_depth(tree, live[top], top) >= k + 1:
-                out[top] = live.pop(top)
-                removed_any = True
-        if removed_any:
+        deep = sorted((top for top in live if depth[top] >= k + 1), key=str)
+        for top in deep:
+            out[top] = live.pop(top)
+        if deep:
             staged.add_rounds(f"depth-test-{iteration}", 2 * (k + 1))
         # (3c) Remove lone clusters (single-node trees of the forest).
-        for top in sorted(live, key=str):
-            if not _has_live_neighbor(tree, live, top):
-                side.append(live.pop(top))
+        neighbors = forest.contract(live)
+        for top in sorted((top for top in live if not neighbors[top]), key=str):
+            members = live.pop(top)
+            side.append(members)
+            forest.retire(top, members)
+            del neighbors[top]
 
     # Post-loop flush (reproduction note R2): surviving clusters meet the
     # output properties; move them to the output.
@@ -89,28 +90,14 @@ def dom_partition_2(
         out[top] = live.pop(top)
 
     # (4) Dispose of the side set.
-    _merge_side_set(tree, out, side, k)
+    _merge_side_set(tree, out, side, k, forest.owner)
     # Re-anchor each output cluster at its true top (step-4 merges may
     # have shifted it); the partition centre is the cluster's root.
-    from .partition_common import recompute_top
-
     partition = Partition(
-        Cluster(recompute_top(members, t_depth), set(members))
+        Cluster(recompute_top(members, forest.t_depth), set(members))
         for members in out.values()
     )
     return partition, staged
-
-
-def _has_live_neighbor(
-    tree: Graph, live: Dict[Any, Set[Any]], top: Any
-) -> bool:
-    owner = tops_by_member(live)
-    for v in live[top]:
-        for u in tree.neighbors(v):
-            other = owner.get(u)
-            if other is not None and other != top:
-                return True
-    return False
 
 
 def _merge_side_set(
@@ -118,17 +105,19 @@ def _merge_side_set(
     out: Dict[Any, Set[Any]],
     side: List[Set[Any]],
     k: int,
+    owner: Dict[Any, Any],
 ) -> None:
     """Step 4: large side clusters join the output as-is; small ones are
     merged into a neighbouring output cluster (Lemma 3.5 shows one
-    exists)."""
+    exists).  ``owner`` maps every member of ``out`` to its top, and
+    follows the merges."""
     if not side:
         return
     for members in side:
         if len(members) > k:
             top = min(members, key=str)
             out[top] = set(members)
-    owner = tops_by_member(out)
+            owner.update(dict.fromkeys(members, top))
     for members in side:
         if len(members) > k:
             continue
@@ -146,5 +135,4 @@ def _merge_side_set(
                 "Lemma 3.5's argument is violated"
             )
         out[target] |= members
-        for v in members:
-            owner[v] = target
+        owner.update(dict.fromkeys(members, target))

@@ -32,21 +32,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..graphs.distances import bfs_distances
 from ..graphs.graph import Graph
 from ..graphs.partition import Cluster, Partition
 from ..graphs.validation import require_acyclic_parents
 from ..sim.runner import StagedRun
 from .partition_bounded import _merge_side_set
 from .partition_common import (
-    cluster_depth,
-    cluster_depths,
+    ClusterForest,
     log2_phase_count,
-    merge_by_center_map,
     recompute_top,
     run_balanced_dom_on_forest,
     singleton_clusters,
-    tops_by_member,
 )
 
 
@@ -85,7 +81,8 @@ def dom_partition(
             return _dom_partition_dense(tree, root, t_parent, k)
     require_acyclic_parents(t_parent)
 
-    t_depth = bfs_distances(tree, root)
+    forest = ClusterForest(tree, root)
+    depth = forest.depth
     staged = StagedRun()
     live: Dict[Any, Set[Any]] = singleton_clusters(tree)
     waiting: Dict[Any, Set[Any]] = {}
@@ -101,32 +98,35 @@ def dom_partition(
             break
         # Standing depth test (the §3.2.3 implementation note): clusters
         # whose depth counters exceeded k move to the output.
-        _remove_deep_clusters(tree, live, out, k)
+        for top in sorted((top for top in live if depth[top] >= k + 1), key=str):
+            out[top] = live.pop(top)
         # (3-II/3-III) Participation probe: clusters with radius above
         # 2 * 2^i wait this phase out.  Cost: a probe to depth 2 * 2^i
         # and back.
         staged.add_rounds(f"probe-{phase}", 2 * radius_cap + 1)
-        depth: Dict[Any, int] = {}
-        for top in sorted(live, key=str):
-            depth[top] = cluster_depth(tree, live[top], top)
-            if depth[top] > radius_cap:
-                waiting[top] = live.pop(top)
+        for top in sorted((top for top in live if depth[top] > radius_cap), key=str):
+            waiting[top] = live.pop(top)
         # (3-IV) Lone participating clusters merge onto an eligible
         # waiting neighbour, or retire to the side set.
-        _absorb_lone_clusters(tree, live, waiting, side, k, staged, phase)
+        neighbors = forest.contract(live)
+        lone = sorted((top for top in live if not neighbors[top]), key=str)
+        _absorb_lone_clusters(tree, live, waiting, side, k, staged, phase, lone, forest)
+        for top in lone:
+            del neighbors[top]
         if not live:
             continue
         # (3a) BalancedDOM on the participating forest, then contract.
         # Absorption only removed clusters, so the probe's depths of the
         # participants are the contracted forest's cluster radii.
         center_map, rounds, radius = run_balanced_dom_on_forest(
-            tree, live, t_parent, max(depth[top] for top in live)
+            tree, live, t_parent, forest.radius(live), forest, neighbors
         )
         cost = rounds * (2 * min(radius, radius_cap) + 1)
         staged.add_rounds(f"balanced-{phase}", cost)
-        live = merge_by_center_map(live, center_map, t_depth)
+        live = forest.merge(live, center_map)
         # (3b) Deep merged clusters move to the output.
-        _remove_deep_clusters(tree, live, out, k)
+        for top in sorted((top for top in live if depth[top] >= k + 1), key=str):
+            out[top] = live.pop(top)
 
     # Post-loop flush (R2): everything left joins the output if large
     # enough, else the side set.
@@ -137,27 +137,14 @@ def dom_partition(
                 out[top] = members
             else:
                 side.append(members)
+                forest.retire(top, members)
     # (4) Dispose of the side set as in DOM_Partition_2.
-    _merge_side_set(tree, out, side, k)
+    _merge_side_set(tree, out, side, k, forest.owner)
     partition = Partition(
-        Cluster(recompute_top(members, t_depth), set(members))
+        Cluster(recompute_top(members, forest.t_depth), set(members))
         for members in out.values()
     )
     return partition, staged
-
-
-def _remove_deep_clusters(
-    tree: Graph,
-    live: Dict[Any, Set[Any]],
-    out: Dict[Any, Set[Any]],
-    k: int,
-) -> bool:
-    removed = False
-    for top in sorted(live, key=str):
-        if cluster_depth(tree, live[top], top) >= k + 1:
-            out[top] = live.pop(top)
-            removed = True
-    return removed
 
 
 # Cluster status codes for the dense driver (meaningful at top rows).
@@ -173,9 +160,10 @@ def _dom_partition_dense(
     """Array-primary ``DOM_Partition(k)``.
 
     The reference loop keeps cluster state as dicts of member sets and
-    interrogates them one cluster at a time (a python BFS per cluster
-    per phase); million-node runs drown in those calls.  Here the
-    authoritative state is two arrays over the CSR rows:
+    a python owner map and depth record (:class:`ClusterForest`), so
+    every phase still moves members and visits clusters one at a time
+    in python.  Here the authoritative state is two arrays over the CSR
+    rows:
 
     * ``owner[r]`` — the row of the cluster top owning node ``r``
       (−1 while a node sits in the side set);
@@ -238,7 +226,7 @@ def _dom_partition_dense(
 
         Each cluster is a parent-connected subtree of ``T`` whose
         shallowest member is its top, so the cluster-restricted parent
-        forest's depth equals the reference's per-cluster BFS depth.
+        forest's depth equals the reference's recorded depth.
         """
         cp = np.full(n, -1, dtype=np.int64)
         pr = parent_row[rows]
@@ -311,7 +299,8 @@ def _dom_partition_dense(
                 lone = [nodes[r] for r in lone_rows.tolist()]
                 side_before = len(side)
                 _absorb_lone_clusters(
-                    tree, live_d, waiting_d, side, k, staged, phase, lone
+                    tree, live_d, waiting_d, side, k, staged, phase, lone,
+                    ClusterForest.hosts(tree, waiting_d),
                 )
                 for top, members in waiting_d.items():
                     top_row = index[top]
@@ -351,7 +340,7 @@ def _dom_partition_dense(
         staged.add_rounds(f"balanced-{phase}", cost)
         # Contract: regroup members under the dominator's cluster, then
         # re-anchor each merged cluster at its (T-depth, str)-minimum
-        # member — a segmented argmin replacing merge_by_center_map.
+        # member — a segmented argmin in place of ClusterForest.merge.
         dom_rows = parts[np.searchsorted(bids, dominator_ids)]
         dom_of = np.empty(n, dtype=np.int64)
         dom_of[parts] = dom_rows
@@ -502,63 +491,36 @@ def _absorb_lone_clusters(
     k: int,
     staged: StagedRun,
     phase: int,
-    lone_tops: Optional[List[Any]] = None,
-) -> bool:
+    lone_tops: List[Any],
+    forest: ClusterForest,
+) -> None:
     """Step 3-IV: a participating cluster with no participating
     neighbour merges onto a waiting neighbour at a node ``w`` with
     ``Depth(w) <= k``; with no eligible host it moves to the side set.
-    ``lone_tops`` lets the dense path supply the candidate list from
-    its edge scan; returns whether ``live`` was mutated.
+    ``lone_tops`` lists those clusters in str order.  ``forest`` names
+    the waiting cluster owning ``w`` and ``w``'s depth in it, and
+    follows each move.
     """
-    if lone_tops is None:
-        live_owner = tops_by_member(live)
-        lone_tops = [
-            top for top in sorted(live, key=str)
-            if not _touches(tree, live[top], live_owner, top)
-        ]
     if not lone_tops:
-        return False
+        return
     staged.add_rounds(f"absorb-{phase}", 2 * (1 << phase) + 2)
-    waiting_owner = tops_by_member(waiting)
-    waiting_depths: Dict[Any, Dict[Any, int]] = {}
+    owner = forest.owner
     for top in lone_tops:
         members = live.pop(top)
         host_top: Optional[Any] = None
         for v in sorted(members, key=str):
             for w in sorted(tree.neighbors(v), key=str):
-                candidate = waiting_owner.get(w)
-                if candidate is None:
-                    continue
-                if candidate not in waiting_depths:
-                    waiting_depths[candidate] = cluster_depths(
-                        tree, waiting[candidate], candidate
-                    )
-                if waiting_depths[candidate][w] <= k:
+                candidate = owner.get(w)
+                if candidate in waiting and (
+                    forest.depth_at(candidate, waiting[candidate], w) <= k
+                ):
                     host_top = candidate
                     break
             if host_top is not None:
                 break
         if host_top is None:
             side.append(members)
+            forest.retire(top, members)
         else:
             waiting[host_top] |= members
-            for v in members:
-                waiting_owner[v] = host_top
-            # Step 3-IV(iii): depth values inside the host are refreshed;
-            # our bookkeeping recomputes them on demand.
-            waiting_depths.pop(host_top, None)
-    return True
-
-
-def _touches(
-    tree: Graph,
-    members: Set[Any],
-    owner: Dict[Any, Any],
-    top: Any,
-) -> bool:
-    for v in members:
-        for u in tree.neighbors(v):
-            other = owner.get(u)
-            if other is not None and other != top:
-                return True
-    return False
+            forest.absorb(host_top, waiting[host_top], top, members)

@@ -9,6 +9,7 @@ from repro.graphs import (
     RootedTree,
     broom_tree,
     caterpillar_tree,
+    cycle_graph,
     path_graph,
     random_tree,
     spider_tree,
@@ -67,6 +68,20 @@ class TestEdgeCases:
         for algorithm in (dom_partition_1, dom_partition_2, dom_partition):
             with pytest.raises(ValueError):
                 algorithm(g, 0, rt.parent, 5)
+
+    @pytest.mark.parametrize("shape", ["cycle", "two-paths"])
+    def test_graph_that_is_not_a_tree_rejected(self, shape):
+        # Depths and the contracted adjacency come from T-depths, which
+        # only a tree gives.
+        g = cycle_graph(8)
+        if shape == "two-paths":
+            g = path_graph(4)
+            g.add_edge(10, 11)
+            g.add_edge(11, 12)
+        parent = {v: (v - 1 if v % 10 else None) for v in g.nodes}
+        for algorithm in (dom_partition_1, dom_partition_2, dom_partition):
+            with pytest.raises(ValueError, match="needs a tree"):
+                algorithm(g, 0, parent, 2)
 
     def test_exact_size_k_plus_1(self):
         g = path_graph(8)

@@ -16,9 +16,11 @@ from repro.batch.cache import GraphCache
 from repro.graphs import assign_unique_weights
 
 from ..differential.corpus import (
+    DEEP_PATHS,
     PATHS_AND_STARS,
     PERFBENCH,
     perfbench,
+    relabelled_path,
     rooted,
     sparse_rooted_trees,
 )
@@ -47,6 +49,12 @@ def test_path_and_star(shape, k):
         {"tree": [rooted(*PATHS_AND_STARS[shape], k)],
          "graph": [(assign_unique_weights(tree, seed=k), k)]}
     )
+
+
+@pytest.mark.parametrize("case", DEEP_PATHS)
+def test_clusters_past_the_participation_cap(case):
+    n, seed, k = DEEP_PATHS[case]
+    check(ROUTES["dom_partition"], rooted(*relabelled_path(n, seed), k))
 
 
 def test_parent_outside_the_tree_raises_the_engine_error(monkeypatch):

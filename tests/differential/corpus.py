@@ -27,6 +27,7 @@ weighted graphs, recorded by spies at the stages' call sites.
 import functools
 import importlib
 import inspect
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -185,6 +186,33 @@ PATHS_AND_STARS = {
     "star-centre": (star_graph(30), 0),
     "star-leaf": (star_graph(30), 7),
 }
+
+
+def relabelled_path(n, seed):
+    """A path through 0..n-1 in a seeded random order, rooted at the
+    order's first node, as a ``tree`` input with ``k`` still to add."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    path = Graph()
+    for u, v in zip(order, order[1:]):
+        path.add_edge(u, v)
+    return path, order[0]
+
+
+#: Relabelled paths whose clusters outgrow DOM_Partition's participation
+#: cap, by test id -> (n, seed, k).  Random ids let the star merges chain
+#: long segments; on this corpus's other trees no cluster ever waits.  In
+#: ``exact-cap`` a participant sits at exactly the cap (512, phase 8); in
+#: the ``absorb`` paths a lone cluster joins a waiting host (step 3-IV),
+#: in ``absorb-above`` from above, so the host's top is no longer its
+#: shallowest member.
+DEEP_PATHS = {
+    "absorb-500": (500, 29, 300),
+    "absorb-1000": (1000, 10, 600),
+    "absorb-above-1250": (1250, 18, 600),
+    "exact-cap-1000": (1000, 23, 600),
+}
+
 #: The trees the dense route was first checked on, by their test ids.
 DENSE_TREES = [
     ("path", lambda: path_graph(65)),
